@@ -1,8 +1,18 @@
 //! Batched candidate-trie and columnar SIMD kernels vs the naive oracle.
 //!
 //! Times [`db_match_many_kernel`] under all three [`MatchKernel`]s over a
-//! grid of candidate-batch sizes × pattern lengths × alphabet sizes, on the
-//! same synthetic database. Candidate batches mimic an Apriori level: the
+//! grid of candidate-batch sizes × pattern lengths × matrices, on the same
+//! synthetic database per alphabet. Two matrix regimes:
+//!
+//! - `fanout`: a [`sparse_random_matrix`] with 20% fan-out per alphabet
+//!   size in `--symbols`. Every candidate symbol sits in most columns, so
+//!   the trie expands nearly every child it meets;
+//! - `partner`: the Fig-14 partner channel (m = 20, α = 0.15, each symbol
+//!   confusable with one partner), diagonal-normalized and clamped — two
+//!   non-zeros per column, so the trie's column-driven expansion skips all
+//!   but two children of every wide sibling list.
+//!
+//! Candidate batches mimic an Apriori level: the
 //! first `candidates` length-`len` contiguous patterns over a small symbol
 //! subset in lexicographic order, which share long prefixes exactly the way
 //! a level-wise frontier does — that prefix sharing is what the trie and
@@ -26,6 +36,7 @@ use noisemine_bench::table::Table;
 use noisemine_core::matching::db_match_many_kernel;
 use noisemine_core::pattern::Pattern;
 use noisemine_core::{simd_active, CompatibilityMatrix, MatchKernel, Symbol};
+use noisemine_datagen::noise::{channel_to_compatibility, partner_channel};
 use noisemine_datagen::{scalability_db, sparse_random_matrix};
 use noisemine_seqdb::MemoryDb;
 
@@ -34,7 +45,11 @@ use noisemine_seqdb::MemoryDb;
 /// frequent subset, not the whole alphabet).
 const CANDIDATE_BASE: usize = 4;
 
+/// Alphabet size of the partner regime (the Fig-14 alphabet).
+const PARTNER_M: usize = 20;
+
 struct Row {
+    matrix: &'static str,
     symbols: usize,
     len: usize,
     candidates: usize,
@@ -81,12 +96,18 @@ fn main() {
             "Batched match kernel (n = {n}, seq_len = {seq_len}, {cpus} cpu(s), simd = {simd_path})"
         ),
         [
-            "m", "len", "cands", "kernel", "secs", "evals/s", "vs naive", "vs trie",
+            "matrix", "m", "len", "cands", "kernel", "secs", "evals/s", "vs naive", "vs trie",
         ],
     );
+    let regimes = symbol_counts
+        .iter()
+        .map(|&m| {
+            let matrix = sparse_random_matrix(m, 0.2, 0.85, seed ^ 0x57 ^ m as u64);
+            ("fanout", m, matrix)
+        })
+        .chain(std::iter::once(("partner", PARTNER_M, partner_matrix())));
     let mut rows = Vec::new();
-    for &m in &symbol_counts {
-        let matrix = sparse_random_matrix(m, 0.2, 0.85, seed ^ 0x57 ^ m as u64);
+    for (regime, m, matrix) in regimes {
         let db = MemoryDb::from_sequences(scalability_db(m, n, seq_len, seed ^ 0x59 ^ m as u64));
         for &len in &pattern_lens {
             for &candidates in &candidate_counts {
@@ -98,14 +119,14 @@ fn main() {
                 let trie_out = db_match_many_kernel(&patterns, &db, &matrix, 1, MatchKernel::Trie);
                 assert!(
                     naive_out == trie_out,
-                    "trie kernel diverged from naive at m = {m}, len = {len}, \
+                    "trie kernel diverged from naive at {regime} m = {m}, len = {len}, \
                      candidates = {candidates} — bit-identity contract broken"
                 );
                 let simd_out = db_match_many_kernel(&patterns, &db, &matrix, 1, MatchKernel::Simd);
                 for (i, (a, b)) in simd_out.iter().zip(&trie_out).enumerate() {
                     assert!(
                         a.to_bits() == b.to_bits(),
-                        "simd kernel diverged from trie at m = {m}, len = {len}, \
+                        "simd kernel diverged from trie at {regime} m = {m}, len = {len}, \
                          candidates = {candidates}, pattern {i}: {a} vs {b} \
                          — SIMD_MAX_ULP = 0 contract broken"
                     );
@@ -120,6 +141,7 @@ fn main() {
                     ("simd", simd_secs),
                 ] {
                     let row = Row {
+                        matrix: regime,
                         symbols: m,
                         len,
                         candidates,
@@ -130,6 +152,7 @@ fn main() {
                         speedup_vs_trie: trie_secs / secs,
                     };
                     t.row([
+                        row.matrix.to_string(),
                         row.symbols.to_string(),
                         row.len.to_string(),
                         row.candidates.to_string(),
@@ -148,6 +171,16 @@ fn main() {
 
     std::fs::write(&out, to_json(seed, n, seq_len, cpus, simd_path, &rows)).expect("write json");
     println!("\nwrote {out}");
+}
+
+/// The mine_dense matrix: the partner channel with α = 0.15 where each
+/// symbol `i` mutates only into `i ^ 1`, Bayes-inverted, then
+/// diagonal-normalized and clamped.
+fn partner_matrix() -> CompatibilityMatrix {
+    let partners: Vec<Vec<usize>> = (0..PARTNER_M).map(|i| vec![i ^ 1]).collect();
+    channel_to_compatibility(&partner_channel(PARTNER_M, 0.15, &partners))
+        .diagonal_normalized_clamped()
+        .expect("partner channel normalizes")
 }
 
 /// The first `count` length-`len` contiguous patterns over the first
@@ -219,9 +252,10 @@ fn to_json(
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             s,
-            "    {{\"symbols\": {}, \"len\": {}, \"candidates\": {}, \"kernel\": \"{}\", \
-             \"secs\": {:.6}, \"evals_per_sec\": {:.1}, \"speedup\": {:.3}, \
-             \"speedup_vs_trie\": {:.3}}}{comma}",
+            "    {{\"matrix\": \"{}\", \"symbols\": {}, \"len\": {}, \"candidates\": {}, \
+             \"kernel\": \"{}\", \"secs\": {:.6}, \"evals_per_sec\": {:.1}, \
+             \"speedup\": {:.3}, \"speedup_vs_trie\": {:.3}}}{comma}",
+            r.matrix,
             r.symbols,
             r.len,
             r.candidates,

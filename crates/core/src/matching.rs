@@ -506,21 +506,20 @@ pub fn try_db_match_many_kernel_indexed<S: SequenceScan + ?Sized>(
                 SCAN_BLOCK_SIZE,
                 threads,
                 &mut |block| visited += block.len(),
-                &|| (trie.scratch(), vec![0.0f64; p]),
-                &|worker: &mut (TrieScratch, Vec<f64>), block_idx, block| {
-                    let (scratch, out) = worker;
+                &|| trie.scratch(),
+                &|scratch: &mut TrieScratch, block_idx, block| {
                     let mut partial = vec![0.0f64; p];
                     let mut stats = BlockSkipStats::default();
                     for (i, (_, seq)) in block.iter().enumerate() {
                         if !stats.visit(plan, block_idx * SCAN_BLOCK_SIZE + i) {
                             continue;
                         }
-                        trie.batch_sequence_match(seq, matrix, scratch, out);
-                        let mut nonzero = false;
-                        for (t, &v) in partial.iter_mut().zip(out.iter()) {
-                            nonzero |= v != 0.0;
-                            *t += v;
-                        }
+                        // The sum variant accumulates only the patterns this
+                        // sequence actually touched — bit-identical to the
+                        // dense loop above because `x += 0.0` never changes
+                        // the bits of a non-negative partial.
+                        let nonzero =
+                            trie.batch_sequence_match_sum(seq, matrix, scratch, &mut partial);
                         stats.contributed(nonzero);
                     }
                     stats.record();
@@ -544,10 +543,7 @@ pub fn try_db_match_many_kernel_indexed<S: SequenceScan + ?Sized>(
                         if !stats.visit(plan, block_idx * SCAN_BLOCK_SIZE + i) {
                             continue;
                         }
-                        // The sum variant accumulates only the patterns this
-                        // sequence actually touched — bit-identical to the
-                        // dense loop above because `x += 0.0` never changes
-                        // the bits of a non-negative partial.
+                        // Same accumulation as the trie branch.
                         let nonzero = trie.batch_sequence_match_columnar_sum(
                             seq,
                             matrix,

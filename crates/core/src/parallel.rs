@@ -300,7 +300,6 @@ enum EvalContext<'a> {
         trie: &'a CandidateTrie,
         matrix: &'a CompatibilityMatrix,
         scratch: crate::match_kernel::TrieScratch,
-        out: Vec<f64>,
     },
     Simd {
         trie: &'a CandidateTrie,
@@ -329,7 +328,6 @@ impl<'a> EvalContext<'a> {
                 trie,
                 matrix,
                 scratch: trie.scratch(),
-                out: vec![0.0; trie.num_patterns()],
             },
         }
     }
@@ -349,13 +347,11 @@ impl<'a> EvalContext<'a> {
                 trie,
                 matrix,
                 scratch,
-                out,
             } => {
+                // Adds only the patterns each sequence matched: `x += 0.0`
+                // leaves a non-negative total's bits unchanged.
                 for seq in sequences {
-                    trie.batch_sequence_match(seq, matrix, scratch, out);
-                    for (total, &v) in totals.iter_mut().zip(out.iter()) {
-                        *total += v;
-                    }
+                    trie.batch_sequence_match_sum(seq, matrix, scratch, totals);
                 }
             }
             Self::Simd {

@@ -38,32 +38,34 @@ import argparse
 import json
 import sys
 
-# bench name -> (identity fields, gated metric, per-row metric overrides)
-# for one row. Ratio metrics (`speedup`, `speedup_vs_trie`) are measured
+# bench name -> (identity fields, gated metric, per-row metric overrides,
+# identity defaults) for one row. Ratio metrics (`speedup`, `speedup_vs_trie`) are measured
 # within a single run, so they stay meaningful across hosts and noisy
 # runners where absolute throughput is not comparable: the index bench's
 # indexed rows and the kernel bench's simd rows finish in microseconds,
 # where absolute evals/s is runner noise, but the within-run ratio directly
 # encodes the contract ("skip-scan stays >= 2x", "simd stays >= 3x over
 # trie on the gated grid rows"). An override maps ``field == value`` to the
-# metric gated for matching rows instead of the default.
+# metric gated for matching rows instead of the default. An identity default
+# fills a field that rows recorded before the field existed lack: the kernel
+# bench's `matrix` regime was added after its `fanout` rows were recorded.
 SCHEMAS = {
     "match_kernel": (
-        ("symbols", "len", "candidates", "kernel"),
+        ("matrix", "symbols", "len", "candidates", "kernel"),
         "evals_per_sec",
         {("kernel", "simd"): "speedup_vs_trie"},
+        {"matrix": "fanout"},
     ),
-    "scan_parallel": (("backend", "threads"), "seqs_per_sec", {}),
-    "serve_load": (("patterns", "concurrency", "mode"), "rps", {}),
-    "index_scan": (("symbols", "len", "candidates", "mode"), "speedup", {}),
+    "scan_parallel": (("backend", "threads"), "seqs_per_sec", {}, {}),
+    "serve_load": (("patterns", "concurrency", "mode"), "rps", {}, {}),
+    "index_scan": (("symbols", "len", "candidates", "mode"), "speedup", {}, {}),
 }
 
 
 def row_metric(bench, row):
     """The metric gated for this row: a schema override if one matches,
     else the bench default."""
-    key_fields, default, overrides = SCHEMAS[bench]
-    del key_fields
+    _, default, overrides, _ = SCHEMAS[bench]
     for (field, value), metric in overrides.items():
         if row.get(field) == value:
             return metric
@@ -87,9 +89,10 @@ def load(path):
     bench = doc.get("bench")
     if bench not in SCHEMAS:
         sys.exit(f"error: {path}: unknown bench {bench!r} (expected one of {sorted(SCHEMAS)})")
-    key_fields = SCHEMAS[bench][0]
+    key_fields, _, _, defaults = SCHEMAS[bench]
     rows = {}
     for i, row in enumerate(doc.get("rows", [])):
+        row = {**defaults, **row}
         metric = row_metric(bench, row)
         missing = [k for k in (*key_fields, metric) if k not in row]
         if missing:

@@ -106,6 +106,18 @@ class TestVerdicts(GateHarness):
         self.assertIn("missing field(s) speedup_vs_trie", res.stderr)
         self.assertNotIn("Traceback", res.stderr)
 
+    def test_kernel_rows_without_matrix_default_to_fanout(self):
+        # Rows recorded before the `matrix` field existed are the fanout
+        # regime; a partner row with the same other fields is a new row.
+        partner = dict(kernel_row(evals=10.0), matrix="partner")
+        res = self.run_gate(
+            kernel_doc([kernel_row(evals=1000.0)]),
+            kernel_doc([dict(kernel_row(evals=990.0), matrix="fanout"), partner]),
+        )
+        self.assertEqual(res.returncode, 0, res.stdout + res.stderr)
+        self.assertIn("| fanout | 8 | 4 | 16 | trie |", res.stdout)
+        self.assertIn("| partner | 8 | 4 | 16 | trie | evals_per_sec | - | 10 | - | new |", res.stdout)
+
     def test_empty_baseline_fails_not_passes(self):
         res = self.run_gate(kernel_doc([]), kernel_doc([kernel_row()]))
         self.assertEqual(res.returncode, 1)

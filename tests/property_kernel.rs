@@ -13,14 +13,24 @@
 //! than the sequence, and shared-prefix wildcard columns. The database
 //! scans are additionally checked across thread counts and both kernels —
 //! four ways to compute the same `Vec<f64>`, one acceptable answer.
+//!
+//! The trie expands only the children an observed symbol's column can
+//! match, so the sparse-matrix suites pin that walk on the matrices where
+//! it skips most children: the Fig-14 partner channel, a 0.5%-fan-out
+//! 1 000-item matrix, a score matrix with an empty column, and an alphabet
+//! past the dense-storage limit.
 
 mod common;
 
 use common::{random_matrix, random_pattern, random_sequence, random_sequences, run_cases};
 use noisemine::core::matching::{db_match_many_kernel, sequence_match};
+use noisemine::core::matrix::DENSE_STORAGE_LIMIT;
+use noisemine::core::parallel::sum_sequence_matches_kernel;
 use noisemine::core::{
     CandidateTrie, CompatibilityMatrix, MatchKernel, Pattern, PatternElem, PatternSpace, Symbol,
 };
+use noisemine::datagen::noise::{channel_to_compatibility, partner_channel};
+use noisemine::datagen::sparse_random_matrix;
 use noisemine::seqdb::MemoryDb;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -201,4 +211,142 @@ fn db_scans_are_bit_identical_across_kernels_and_threads() {
             }
         }
     });
+}
+
+/// A gapped pattern read off a window of `seq`: interior positions become
+/// `*` at a 30% rate, and concrete positions are swapped for another true
+/// symbol the observation can stand for at a 40% rate — so the pattern has
+/// non-zero matches even on a sparse matrix where a random one has none.
+fn window_pattern(
+    rng: &mut StdRng,
+    seq: &[Symbol],
+    matrix: &CompatibilityMatrix,
+    max_len: usize,
+) -> Pattern {
+    let len = rng.gen_range(1..=max_len.min(seq.len()));
+    let start = rng.gen_range(0..=seq.len() - len);
+    let elems = seq[start..start + len]
+        .iter()
+        .enumerate()
+        .map(|(i, &obs)| {
+            if i > 0 && i + 1 < len && rng.gen_bool(0.3) {
+                return PatternElem::Any;
+            }
+            let column = matrix.column(obs);
+            if !column.is_empty() && rng.gen_bool(0.4) {
+                PatternElem::Sym(column[rng.gen_range(0..column.len())].0)
+            } else {
+                PatternElem::Sym(obs)
+            }
+        })
+        .collect();
+    Pattern::new(elems).expect("window endpoints are concrete")
+}
+
+/// One sparse-matrix case: a database of up to 600 sequences over `m`
+/// symbols, a batch of window patterns plus random ones with duplicates
+/// appended, then the trie against the per-pattern oracle sequence by
+/// sequence, and both scan paths (phase 3's `db_match_many_kernel`, phase
+/// 2's `sum_sequence_matches_kernel`) at one and four threads against the
+/// naive kernel.
+fn check_sparse_regime(rng: &mut StdRng, matrix: &CompatibilityMatrix, what: &str) {
+    let m = matrix.len();
+    let seqs = random_sequences(rng, m, 30, 300, 600);
+    let mut patterns: Vec<Pattern> = (0..rng.gen_range(20..60usize))
+        .map(|_| {
+            let seq = &seqs[rng.gen_range(0..seqs.len())];
+            window_pattern(rng, seq, matrix, 8)
+        })
+        .collect();
+    patterns.extend((0..5).map(|_| random_pattern(rng, m)));
+    for _ in 0..rng.gen_range(1..6usize) {
+        let dup = patterns[rng.gen_range(0..patterns.len())].clone();
+        patterns.push(dup);
+    }
+
+    let trie = CandidateTrie::new(&patterns);
+    let mut scratch = trie.scratch();
+    let mut got = vec![0.0f64; patterns.len()];
+    for seq in seqs.iter().take(40) {
+        trie.batch_sequence_match(seq, matrix, &mut scratch, &mut got);
+        let want: Vec<f64> = patterns
+            .iter()
+            .map(|p| sequence_match(p, seq, matrix))
+            .collect();
+        assert_bit_identical(&got, &want, &format!("{what}: batch vs oracle"));
+    }
+
+    let db = MemoryDb::from_sequences(seqs.clone());
+    let reference = db_match_many_kernel(&patterns, &db, matrix, 1, MatchKernel::Naive);
+    assert!(
+        reference.iter().any(|&v| v > 0.0),
+        "{what}: degenerate case, every pattern matches nothing"
+    );
+    let summed = sum_sequence_matches_kernel(&patterns, &seqs, matrix, 1, MatchKernel::Naive);
+    for threads in [1, 4] {
+        let got = db_match_many_kernel(&patterns, &db, matrix, threads, MatchKernel::Trie);
+        assert_bit_identical(&got, &reference, &format!("{what}: db scan @ {threads}"));
+        let got = sum_sequence_matches_kernel(&patterns, &seqs, matrix, threads, MatchKernel::Trie);
+        assert_bit_identical(&got, &summed, &format!("{what}: sample sums @ {threads}"));
+    }
+}
+
+/// The Fig-14 partner channel: each observation is compatible with two
+/// true symbols of 20, so a wide sibling list is expanded from the column.
+#[test]
+fn partner_channel_matches_the_oracle() {
+    let partners: Vec<Vec<usize>> = (0..20).map(|i| vec![i ^ 1]).collect();
+    let matrix = channel_to_compatibility(&partner_channel(20, 0.15, &partners))
+        .diagonal_normalized_clamped()
+        .expect("partner channel normalizes");
+    assert_eq!(matrix.column(Symbol(3)).len(), 2);
+    run_cases(16, |rng| check_sparse_regime(rng, &matrix, "partner"));
+}
+
+/// The clickstream regime: 1 000 items at 0.5% fan-out.
+#[test]
+fn sparse_clickstream_matrix_matches_the_oracle() {
+    let matrix = sparse_random_matrix(1000, 0.005, 0.85, 0xc11c);
+    run_cases(12, |rng| check_sparse_regime(rng, &matrix, "clickstream"));
+}
+
+/// A score matrix with an empty column: the symbol it observes matches no
+/// true symbol at all, so only `*` children survive it.
+#[test]
+fn score_matrix_with_an_empty_column_matches_the_oracle() {
+    run_cases(24, |rng| {
+        let m: usize = 12;
+        let empty = rng.gen_range(0..m);
+        let columns: Vec<Vec<(Symbol, f64)>> = (0..m)
+            .map(|j| {
+                if j == empty {
+                    return Vec::new();
+                }
+                let mut col = vec![(Symbol(j as u16), rng.gen_range(0.3..1.0))];
+                for _ in 0..rng.gen_range(0..3usize) {
+                    let i = rng.gen_range(0..m);
+                    if col.iter().all(|&(s, _)| s.index() != i) {
+                        col.push((Symbol(i as u16), rng.gen_range(0.01..1.0)));
+                    }
+                }
+                col
+            })
+            .collect();
+        let matrix = CompatibilityMatrix::scores_from_sparse_columns(columns).expect("weights");
+        assert!(matrix.column(Symbol(empty as u16)).is_empty());
+        check_sparse_regime(rng, &matrix, "empty column");
+    });
+}
+
+/// An alphabet past [`DENSE_STORAGE_LIMIT`]: lookups go through the sparse
+/// columns (`Storage::Sparse`), where the column entry replaces a binary
+/// search per node.
+#[test]
+fn sparse_storage_matrix_matches_the_oracle() {
+    let matrix = sparse_random_matrix(DENSE_STORAGE_LIMIT + 52, 0.001, 0.85, 0x5ba7);
+    assert!(
+        !matrix.is_dense(),
+        "m > DENSE_STORAGE_LIMIT must use sparse storage"
+    );
+    run_cases(8, |rng| check_sparse_regime(rng, &matrix, "sparse storage"));
 }
