@@ -48,11 +48,13 @@
 //! (`core_simd_sequences_total`, `core_simd_scalar_fallback_total`) and
 //! lane occupancy (`core_simd_lane_slots_total`,
 //! `core_simd_lanes_filled_total`, ratio in `core_simd_lane_occupancy`).
+//! A scratch collects these per sequence and adds them to the registry
+//! when it drops, so a scan's counts appear when its scratch is done.
 //! See `docs/OBSERVABILITY.md`.
 
 use std::sync::OnceLock;
 
-use super::{CandidateTrie, NO_PATTERN, NO_STRIPE};
+use super::{CandidateTrie, PreNode, NO_PATTERN, NO_STRIPE};
 use crate::alphabet::Symbol;
 use crate::matrix::CompatibilityMatrix;
 
@@ -113,13 +115,6 @@ pub struct SimdScratch {
     best_dirty: Vec<u32>,
     /// Nodes whose floor left zero this sequence (same reset strategy).
     floor_dirty: Vec<u32>,
-    /// Terminal nodes whose pattern best improved during the current
-    /// chunk. A floor raised mid-chunk cannot prune anything until the
-    /// raised node is visited again — which is only ever the *next* chunk —
-    /// so raises are deferred to the chunk boundary and applied in one
-    /// batch (a bulk rebuild when the batch is large, e.g. the first chunk
-    /// improving every pattern from zero).
-    improved: Vec<u32>,
     /// `stripe_syms.len()` rows of `stride` entries each;
     /// `stripes[r * stride + pos] = C(stripe_syms[r], seq[pos])`, zero past
     /// the sequence end.
@@ -142,6 +137,63 @@ pub struct SimdScratch {
     pub simd_sequences: u64,
     /// Sequences evaluated on the portable scalar path.
     pub scalar_sequences: u64,
+    /// Metric deltas not yet added to the registry.
+    pending: PendingObs,
+}
+
+impl SimdScratch {
+    /// Adds one sequence's work counts to the public counters and to the
+    /// deltas flushed into the registry when the scratch drops.
+    fn record(&mut self, nodes_visited: u64, prunes: u64, lane_slots: u64, lanes_filled: u64) {
+        self.nodes_visited += nodes_visited;
+        self.prunes += prunes;
+        self.lane_slots += lane_slots;
+        self.lanes_filled += lanes_filled;
+        let p = &mut self.pending;
+        p.nodes_visited += nodes_visited;
+        p.prunes += prunes;
+        p.lane_slots += lane_slots;
+        p.lanes_filled += lanes_filled;
+    }
+}
+
+/// The columnar kernel's metric deltas since its scratch was made. The
+/// kernel counts six metrics per sequence; adding them to the shared
+/// atomics once, when the scratch drops (after a scan block, a phase scan
+/// or a request), keeps atomic operations out of the per-sequence path. A
+/// clone starts empty, so no delta is flushed twice.
+#[derive(Debug, Default)]
+struct PendingObs {
+    simd_sequences: u64,
+    scalar_sequences: u64,
+    nodes_visited: u64,
+    prunes: u64,
+    lane_slots: u64,
+    lanes_filled: u64,
+}
+
+impl Clone for PendingObs {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl Drop for PendingObs {
+    fn drop(&mut self) {
+        if !noisemine_obs::enabled() {
+            return;
+        }
+        crate::obs::simd_sequences().add(self.simd_sequences);
+        crate::obs::simd_scalar_fallback().add(self.scalar_sequences);
+        crate::obs::kernel_nodes_visited().add(self.nodes_visited);
+        crate::obs::kernel_prunes().add(self.prunes);
+        crate::obs::simd_lane_slots().add(self.lane_slots);
+        crate::obs::simd_lanes_filled().add(self.lanes_filled);
+        if self.lane_slots > 0 {
+            crate::obs::simd_lane_occupancy()
+                .set(self.lanes_filled as f64 / self.lane_slots as f64);
+        }
+    }
 }
 
 impl CandidateTrie {
@@ -154,7 +206,6 @@ impl CandidateTrie {
             floor: vec![0.0; self.nodes.len()],
             best_dirty: Vec::new(),
             floor_dirty: Vec::new(),
-            improved: Vec::new(),
             stripes: Vec::new(),
             stripe_built: vec![false; self.stripe_syms.len()],
             stride: 0,
@@ -165,6 +216,7 @@ impl CandidateTrie {
             lanes_filled: 0,
             simd_sequences: 0,
             scalar_sequences: 0,
+            pending: PendingObs::default(),
         }
     }
 
@@ -233,8 +285,8 @@ impl CandidateTrie {
     ) {
         debug_assert_eq!(out.len(), self.patterns);
         scratch.scalar_sequences += 1;
+        scratch.pending.scalar_sequences += 1;
         self.columnar_scalar(sequence, matrix, scratch);
-        self.columnar_flush_obs(scratch, false);
         out.copy_from_slice(&scratch.best);
         for &(dup, canon) in &self.dups {
             out[dup as usize] = out[canon as usize];
@@ -253,14 +305,14 @@ impl CandidateTrie {
         #[cfg(all(not(miri), target_arch = "x86_64"))]
         if simd_active() {
             scratch.simd_sequences += 1;
+            scratch.pending.simd_sequences += 1;
             // SAFETY: `simd_active()` verified AVX2+FMA at runtime.
             unsafe { self.columnar_avx2(sequence, matrix, scratch) };
-            self.columnar_flush_obs(scratch, true);
             return;
         }
         scratch.scalar_sequences += 1;
+        scratch.pending.scalar_sequences += 1;
         self.columnar_scalar(sequence, matrix, scratch);
-        self.columnar_flush_obs(scratch, false);
     }
 
     /// Resets per-sequence state and returns the number of chunk-base
@@ -313,65 +365,25 @@ impl CandidateTrie {
         scratch.stripe_built[sr] = true;
     }
 
-    /// Applies the floor raises queued in `scratch.improved` at a chunk
-    /// boundary. A handful of improvements walk ancestors individually;
-    /// past [`Self::BULK_FLOOR_THRESHOLD`] one reverse-preorder sweep over
-    /// the whole trie (children before parents) is cheaper — the first
-    /// chunk of a sequence typically improves *every* pattern from zero,
-    /// and per-terminal upward walks there cost more than the walk itself.
-    fn apply_floor_raises(&self, scratch: &mut SimdScratch) {
-        let SimdScratch {
-            best,
-            floor,
-            floor_dirty,
-            improved,
-            ..
-        } = scratch;
-        if improved.len() < Self::BULK_FLOOR_THRESHOLD {
-            for &ni in improved.iter() {
-                self.raise_floors_in_tracked(ni, best, floor, floor_dirty);
-            }
-        } else {
-            for pn in self.pre.iter().rev() {
-                let ni = pn.node as usize;
-                let n = &self.nodes[ni];
-                let mut f = if pn.pattern == NO_PATTERN {
-                    f64::INFINITY
-                } else {
-                    best[pn.pattern as usize]
-                };
-                for &c in &self.children[n.child_start as usize..n.child_end as usize] {
-                    f = f.min(floor[c as usize]);
-                }
-                if f != floor[ni] {
-                    if floor[ni] == 0.0 {
-                        floor_dirty.push(ni as u32);
-                    }
-                    floor[ni] = f;
-                }
-            }
+    /// Records `m`, above the current best, as the best window of the
+    /// pattern ending at `pn` and raises the floors above it. Returns 1 if
+    /// the pattern just reached a perfect match, else 0.
+    #[inline]
+    fn improve(&self, scratch: &mut SimdScratch, pn: PreNode, m: f64) -> usize {
+        let pi = pn.pattern as usize;
+        let old = scratch.best[pi];
+        if old == 0.0 {
+            scratch.best_dirty.push(pi as u32);
         }
-        improved.clear();
-    }
-
-    /// Queued improvements at which a bulk floor rebuild beats individual
-    /// ancestor walks (ancestor walks touch ~`len × branching` slots each;
-    /// the rebuild touches every trie node once).
-    const BULK_FLOOR_THRESHOLD: usize = 32;
-
-    /// Per-sequence metrics flush (path counter + lane occupancy).
-    fn columnar_flush_obs(&self, scratch: &mut SimdScratch, simd: bool) {
-        if noisemine_obs::enabled() {
-            if simd {
-                crate::obs::simd_sequences().inc();
-            } else {
-                crate::obs::simd_scalar_fallback().inc();
-            }
-            if scratch.lane_slots > 0 {
-                crate::obs::simd_lane_occupancy()
-                    .set(scratch.lanes_filled as f64 / scratch.lane_slots as f64);
-            }
-        }
+        scratch.best[pi] = m;
+        self.raise_floors(
+            pn.node,
+            old,
+            &scratch.best,
+            &mut scratch.floor,
+            &mut scratch.floor_dirty,
+        );
+        usize::from(old < 1.0 && m >= 1.0)
     }
 
     /// The scalar columnar walk over one sequence. Fills `scratch.best`;
@@ -449,36 +461,17 @@ impl CandidateTrie {
                         }
                     }
                     if m > scratch.best[pi] {
-                        if scratch.best[pi] == 0.0 {
-                            scratch.best_dirty.push(pi as u32);
-                        }
-                        if scratch.best[pi] < 1.0 && m >= 1.0 {
-                            saturated += 1;
-                        }
-                        scratch.best[pi] = m;
-                        scratch.improved.push(pn.node);
+                        saturated += self.improve(scratch, pn, m);
                     }
                 }
                 i += 1;
-            }
-            if !scratch.improved.is_empty() {
-                self.apply_floor_raises(scratch);
             }
             if saturated == distinct {
                 break 'chunks; // every candidate already has a perfect match
             }
         }
 
-        scratch.nodes_visited += nodes_visited;
-        scratch.prunes += prunes;
-        scratch.lane_slots += lane_slots;
-        scratch.lanes_filled += lanes_filled;
-        if noisemine_obs::enabled() {
-            crate::obs::kernel_nodes_visited().add(nodes_visited);
-            crate::obs::kernel_prunes().add(prunes);
-            crate::obs::simd_lane_slots().add(lane_slots);
-            crate::obs::simd_lanes_filled().add(lanes_filled);
-        }
+        scratch.record(nodes_visited, prunes, lane_slots, lanes_filled);
     }
 
     /// The AVX2 walk — identical control flow and arithmetic to
@@ -602,37 +595,18 @@ impl CandidateTrie {
                             _mm_max_pd(_mm256_castpd256_pd128(mx), _mm256_extractf128_pd::<1>(mx));
                         let m = _mm_cvtsd_f64(_mm_max_sd(half, _mm_unpackhi_pd(half, half)));
                         if m > scratch.best[pi] {
-                            if scratch.best[pi] == 0.0 {
-                                scratch.best_dirty.push(pi as u32);
-                            }
-                            if scratch.best[pi] < 1.0 && m >= 1.0 {
-                                saturated += 1;
-                            }
-                            scratch.best[pi] = m;
-                            scratch.improved.push(pn.node);
+                            saturated += self.improve(scratch, pn, m);
                         }
                     }
                 }
                 i += 1;
-            }
-            if !scratch.improved.is_empty() {
-                self.apply_floor_raises(scratch);
             }
             if saturated == distinct {
                 break 'chunks;
             }
         }
 
-        scratch.nodes_visited += nodes_visited;
-        scratch.prunes += prunes;
-        scratch.lane_slots += lane_slots;
-        scratch.lanes_filled += lanes_filled;
-        if noisemine_obs::enabled() {
-            crate::obs::kernel_nodes_visited().add(nodes_visited);
-            crate::obs::kernel_prunes().add(prunes);
-            crate::obs::simd_lane_slots().add(lane_slots);
-            crate::obs::simd_lanes_filled().add(lanes_filled);
-        }
+        scratch.record(nodes_visited, prunes, lane_slots, lanes_filled);
     }
 }
 
@@ -793,5 +767,41 @@ mod tests {
         if simd_active() {
             assert_eq!(scratch.simd_sequences, 1);
         }
+    }
+
+    #[test]
+    fn pending_metrics_match_the_counters_and_a_clone_starts_empty() {
+        let matrix = CompatibilityMatrix::paper_figure2();
+        let trie = CandidateTrie::new(&[pat("d0 d1"), pat("d1 * d1")]);
+        let mut scratch = trie.simd_scratch();
+        let mut out = vec![0.0; 2];
+        for text in ["d0 d1 d1 d2 d3 d0", "d1 d0 d1"] {
+            trie.batch_sequence_match_columnar(&seq(text), &matrix, &mut scratch, &mut out);
+        }
+        trie.batch_sequence_match_columnar_scalar(&seq("d0 d1"), &matrix, &mut scratch, &mut out);
+        let p = &scratch.pending;
+        assert_eq!(
+            (p.simd_sequences, p.scalar_sequences),
+            (scratch.simd_sequences, scratch.scalar_sequences)
+        );
+        assert_eq!(
+            (p.nodes_visited, p.prunes, p.lane_slots, p.lanes_filled),
+            (
+                scratch.nodes_visited,
+                scratch.prunes,
+                scratch.lane_slots,
+                scratch.lanes_filled
+            )
+        );
+        assert!(p.nodes_visited > 0 && p.lane_slots > 0);
+        // Both scratches flush when dropped: only the original may carry
+        // the deltas, or they would be counted twice.
+        let copy = scratch.clone();
+        assert_eq!(copy.pending.nodes_visited, 0);
+        assert_eq!(
+            copy.pending.simd_sequences + copy.pending.scalar_sequences,
+            0
+        );
+        assert_eq!(copy.nodes_visited, scratch.nodes_visited);
     }
 }
