@@ -689,30 +689,18 @@ pub fn cmd_serve(opts: &Opts) -> CliResult<()> {
         );
         registry.swap(tenant, compiled);
     }
-    // Catalog: sync once before serving (so /readyz is meaningful from the
-    // first request), then hand the directory to the supervisor thread.
-    let catalog_supervisor = match catalog_root {
-        Some(root) => {
-            let catalog = noisemine_serve::Catalog::new(root);
-            let report = catalog.sync(&registry);
-            for (tenant, version) in &report.adopted {
-                eprintln!("tenant {tenant}: adopted v{version} from catalog");
-            }
-            for tenant in &report.modelless {
-                eprintln!("tenant {tenant}: no valid model in catalog yet (degraded)");
-            }
-            let interval = positive_secs(opts, "catalog-interval", 2.0)?;
-            Some(noisemine_serve::CatalogSupervisor::spawn(
-                catalog,
-                std::sync::Arc::clone(&registry),
-                interval,
-            ))
-        }
+    // One supervisor runs the catalog and the drift loop; its first
+    // catalog pass runs here, before serving, so /readyz is meaningful
+    // from the first request.
+    let catalog = match catalog_root {
+        Some(root) => Some((
+            noisemine_serve::Catalog::new(root),
+            positive_secs(opts, "catalog-interval", 2.0)?,
+        )),
         None => None,
     };
-    // Drift loop: optional, catalog-backed when both are configured.
-    let (drift_controller, drift_supervisor) = if opts.flag("drift") {
-        let drift_config = noisemine_serve::DriftConfig {
+    let drift = if opts.flag("drift") {
+        Some(noisemine_serve::DriftConfig {
             interval: positive_secs(opts, "drift-interval", 1.0)?,
             min_sequences: opts.num("drift-min-seqs", 256u64)?,
             remine_timeout: positive_secs(opts, "remine-timeout", 30.0)?,
@@ -725,16 +713,30 @@ pub fn cmd_serve(opts: &Opts) -> CliResult<()> {
             max_len: opts.num("drift-max-len", 8usize)?,
             max_gap: opts.num("drift-max-gap", 0usize)?,
             ..noisemine_serve::DriftConfig::default()
-        };
-        let (controller, supervisor) = noisemine_serve::DriftSupervisor::spawn(
-            drift_config,
-            std::sync::Arc::clone(&registry),
-            catalog_root.map(noisemine_serve::Catalog::new),
-        );
-        (Some(controller), Some(supervisor))
+        })
     } else {
-        (None, None)
+        None
     };
+    let supervisor = if catalog.is_some() || drift.is_some() {
+        let supervisor = noisemine_serve::Supervisor::new(
+            std::sync::Arc::clone(&registry),
+            catalog,
+            drift,
+            std::time::Instant::now(),
+        )
+        .map_err(|e| format!("--drift-max-len: {e}"))?;
+        let (handle, report) = supervisor.spawn();
+        for (tenant, version) in &report.adopted {
+            eprintln!("tenant {tenant}: adopted v{version} from catalog");
+        }
+        for tenant in &report.modelless {
+            eprintln!("tenant {tenant}: no valid model in catalog yet (degraded)");
+        }
+        Some(handle)
+    } else {
+        None
+    };
+    let drift_controller = supervisor.as_ref().and_then(|s| s.controller());
     let idle_timeout = opts.num("idle-timeout", 10.0f64)?;
     if !idle_timeout.is_finite() || idle_timeout <= 0.0 {
         return Err(format!("--idle-timeout must be positive seconds, got {idle_timeout}").into());
@@ -755,11 +757,8 @@ pub fn cmd_serve(opts: &Opts) -> CliResult<()> {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.join();
-    if let Some(s) = drift_supervisor {
-        s.stop();
-    }
-    if let Some(s) = catalog_supervisor {
-        s.stop();
+    if supervisor.is_some_and(|s| s.stop().is_err()) {
+        eprintln!("warning: the catalog/drift supervisor thread panicked");
     }
     write_metrics(sink.as_ref())?;
     eprintln!("server stopped");

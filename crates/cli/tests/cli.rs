@@ -759,3 +759,60 @@ fn mine_model_out_then_serve_smoke() {
     std::fs::remove_file(&matrix).ok();
     std::fs::remove_file(&model).ok();
 }
+
+#[test]
+fn serve_rejects_an_unusable_drift_config_at_startup() {
+    let db = tmp("drift-cfg-db.txt");
+    let matrix = tmp("drift-cfg-m.txt");
+    let model = tmp("drift-cfg.nmmodel");
+    generate(&db, &matrix);
+    let out = noisemine(&[
+        "mine",
+        "--db",
+        db.to_str().unwrap(),
+        "--matrix",
+        matrix.to_str().unwrap(),
+        "--normalize",
+        "--min-match",
+        "0.15",
+        "--max-len",
+        "4",
+        "--model-out",
+        model.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    // --drift-max-len 0 admits no pattern at all: serve must refuse to
+    // start rather than accept traffic it can never re-mine. A server
+    // that starts anyway is killed after the deadline.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_noisemine"))
+        .args([
+            "serve",
+            "--model",
+            model.to_str().unwrap(),
+            "--drift",
+            "--drift-max-len",
+            "0",
+            "--addr",
+            "127.0.0.1:0",
+        ])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("serve runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while child.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            panic!("serve started with --drift-max-len 0");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("--drift-max-len"), "{}", stderr(&out));
+
+    std::fs::remove_file(&db).ok();
+    std::fs::remove_file(&matrix).ok();
+    std::fs::remove_file(&model).ok();
+}

@@ -107,11 +107,30 @@ pub fn histogram(name: &str, help: &str, unit: &str, bounds: Vec<f64>) -> Histog
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    /// Serialises the process-wide flag across this binary's tests: tests
+    /// that record hold it shared ([`recording`]), tests that switch
+    /// recording off hold it exclusively ([`flipping`]), so no test ever
+    /// records while another has the flag off.
+    static FLAG: RwLock<()> = RwLock::new(());
+
+    /// Enables recording and keeps it on until the guard drops.
+    pub(crate) fn recording() -> RwLockReadGuard<'static, ()> {
+        let guard = FLAG.read().unwrap_or_else(PoisonError::into_inner);
+        enable();
+        guard
+    }
+
+    /// Excludes every recording test until the guard drops; the holder
+    /// must leave the flag enabled.
+    pub(crate) fn flipping() -> RwLockWriteGuard<'static, ()> {
+        FLAG.write().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn enable_disable_round_trip() {
-        // Note: other tests in this binary share the flag; only check the
-        // transitions we drive ourselves.
+        let _flag = flipping();
         enable();
         assert!(enabled());
         disable();
@@ -121,7 +140,7 @@ mod tests {
 
     #[test]
     fn global_registry_is_shared() {
-        enable();
+        let _flag = recording();
         let a = counter("obs_test_shared", "test", "ops");
         let b = counter("obs_test_shared", "test", "ops");
         let before = a.get();

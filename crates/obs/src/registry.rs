@@ -393,7 +393,7 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_roundtrip() {
-        crate::enable();
+        let _flag = crate::tests::recording();
         let r = Registry::new();
         let c = r.counter("c", "a counter", "ops");
         c.inc();
@@ -414,7 +414,7 @@ mod tests {
 
     #[test]
     fn histogram_bucket_boundaries_use_le_semantics() {
-        crate::enable();
+        let _flag = crate::tests::recording();
         let r = Registry::new();
         let h = r.histogram("h", "test", "seconds", vec![1.0, 2.0, 4.0]);
         // A value equal to a bound lands in that bucket (v <= bound).
@@ -454,7 +454,7 @@ mod tests {
 
     #[test]
     fn snapshot_deterministic_under_concurrent_increments() {
-        crate::enable();
+        let _flag = crate::tests::recording();
         let r = Registry::new();
         let c = r.counter("concurrent", "test", "ops");
         let h = r.histogram("concurrent_h", "test", "units", count_buckets());
@@ -508,6 +508,7 @@ mod tests {
         let r = Registry::new();
         let c = r.counter("gated", "", "");
         let h = r.histogram("gated_h", "", "", vec![1.0]);
+        let _flag = crate::tests::flipping();
         crate::disable();
         c.inc();
         h.observe(0.5);
@@ -520,7 +521,7 @@ mod tests {
 
     #[test]
     fn span_records_elapsed_seconds() {
-        crate::enable();
+        let _flag = crate::tests::recording();
         let r = Registry::new();
         let h = r.histogram("span_h", "", "seconds", duration_buckets());
         {
@@ -536,7 +537,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_but_keeps_handles() {
-        crate::enable();
+        let _flag = crate::tests::recording();
         let r = Registry::new();
         let c = r.counter("resettable", "", "");
         c.add(7);

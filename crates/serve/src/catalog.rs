@@ -21,18 +21,16 @@
 //! skipped, never adopted; the result is therefore the *highest valid*
 //! version regardless of directory-entry order or interleaved garbage.
 //!
-//! [`CatalogSupervisor`] runs that scan on an interval against a live
-//! [`ModelRegistry`], adopting through
+//! [`Catalog::sync`] runs that scan against a live [`ModelRegistry`] and
+//! adopts the model the scan decoded (each artifact is read once) through
 //! [`ModelRegistry::adopt_if_newer`] — so a bad read can never downgrade a
 //! tenant: the last-good model keeps serving until a strictly newer valid
-//! artifact appears. Writers use [`Catalog::write`] (tmp + rename, fsync
-//! before rename) so a crash mid-write is invisible to readers.
+//! artifact appears. The [`Supervisor`](crate::Supervisor) runs the pass
+//! once at startup and then on its catalog interval. Writers use
+//! [`Catalog::write`] (tmp + rename, fsync before rename) so a crash
+//! mid-write is invisible to readers.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use noisemine_core::PatternModel;
 
@@ -51,8 +49,9 @@ pub struct Catalog {
 /// What one catalog pass over one tenant found.
 #[derive(Debug, Clone, Default)]
 pub struct TenantScan {
-    /// The highest valid version and its path, if any artifact validated.
-    pub newest_valid: Option<(u64, PathBuf)>,
+    /// The highest valid version and the model decoded from it, if any
+    /// artifact validated.
+    pub newest_valid: Option<(u64, PatternModel)>,
     /// Artifacts that failed validation (corrupt/truncated/torn) at or
     /// above the newest valid version.
     pub rejected: usize,
@@ -152,10 +151,9 @@ impl Catalog {
             if floor.is_some_and(|f| version <= f) {
                 break;
             }
-            let path = self.model_path(tenant, version);
-            match read_model(&path) {
+            match read_model(self.model_path(tenant, version)) {
                 Ok(model) if model.version == version => {
-                    scan.newest_valid = Some((version, path));
+                    scan.newest_valid = Some((version, model));
                     break;
                 }
                 // A valid file whose embedded version disagrees with its
@@ -171,11 +169,10 @@ impl Catalog {
     }
 
     /// The highest valid version for `tenant` and its decoded model, if
-    /// any (test- and tooling-facing; the supervisor uses
+    /// any (test- and tooling-facing; [`Self::sync`] uses
     /// [`Self::scan_tenant`] + [`ModelRegistry::adopt_if_newer`]).
     pub fn latest_valid(&self, tenant: &str) -> Option<(u64, PatternModel)> {
-        let (version, path) = self.scan_tenant(tenant, None).newest_valid?;
-        read_model(path).ok().map(|m| (version, m))
+        self.scan_tenant(tenant, None).newest_valid
     }
 
     /// One full catalog pass against `registry`: every tenant directory is
@@ -191,24 +188,15 @@ impl Catalog {
             let scan = self.scan_tenant(&tenant, floor);
             report.rejected += scan.rejected;
             match scan.newest_valid {
-                Some((version, path)) => {
-                    // Validated above, but the file can change between scan
-                    // and adoption (the writer may have replaced it) — so
-                    // re-read and re-validate at the adoption point.
-                    match read_model(&path) {
-                        Ok(model) => {
-                            let compiled = ServeModel::compile(model);
-                            if let Adoption::Adopted { .. } =
-                                registry.adopt_if_newer(&tenant, compiled)
-                            {
-                                crate::obs::catalog_adoptions().inc();
-                                report.adopted.push((tenant.clone(), version));
-                            }
-                        }
-                        Err(_) => {
-                            crate::obs::catalog_rejects().inc();
-                            report.rejected += 1;
-                        }
+                // Adopt the model decoded from the bytes the scan
+                // validated: a writer replacing the file afterwards cannot
+                // slip an unvalidated model in.
+                Some((version, model)) => {
+                    if let Adoption::Adopted { .. } =
+                        registry.adopt_if_newer(&tenant, ServeModel::compile(model))
+                    {
+                        crate::obs::catalog_adoptions().inc();
+                        report.adopted.push((tenant.clone(), version));
                     }
                 }
                 None if floor.is_none() => {
@@ -219,97 +207,6 @@ impl Catalog {
             }
         }
         report
-    }
-}
-
-/// Shutdown signal shared between a supervisor thread and its handle:
-/// a flag plus a condvar so `stop()` interrupts the interval sleep
-/// immediately instead of waiting it out.
-#[derive(Debug, Default)]
-pub(crate) struct StopSignal {
-    stop: AtomicBool,
-    mutex: Mutex<()>,
-    cond: Condvar,
-}
-
-impl StopSignal {
-    pub(crate) fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.cond.notify_all();
-    }
-
-    pub(crate) fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
-    /// Sleeps up to `d`, returning early (true) if stopped.
-    pub(crate) fn wait(&self, d: Duration) -> bool {
-        if self.is_stopped() {
-            return true;
-        }
-        let guard = self.mutex.lock().expect("stop signal poisoned");
-        let _ = self
-            .cond
-            .wait_timeout_while(guard, d, |()| !self.stop.load(Ordering::SeqCst));
-        self.is_stopped()
-    }
-}
-
-/// The catalog supervisor: a background thread running [`Catalog::sync`]
-/// on an interval, hot-swapping strictly newer valid artifacts into the
-/// registry as they land on disk. Stop with [`CatalogSupervisor::stop`];
-/// dropping the handle also stops and joins.
-pub struct CatalogSupervisor {
-    signal: Arc<StopSignal>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for CatalogSupervisor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CatalogSupervisor")
-            .field("stopped", &self.signal.is_stopped())
-            .finish()
-    }
-}
-
-impl CatalogSupervisor {
-    /// Spawns the supervisor. The first sync runs immediately (so a server
-    /// starting against a pre-populated catalog serves it at once), then
-    /// every `interval`.
-    pub fn spawn(catalog: Catalog, registry: Arc<ModelRegistry>, interval: Duration) -> Self {
-        let signal = Arc::new(StopSignal::default());
-        let thread_signal = Arc::clone(&signal);
-        let thread = std::thread::Builder::new()
-            .name("serve-catalog".to_string())
-            .spawn(move || loop {
-                catalog.sync(&registry);
-                if thread_signal.wait(interval) {
-                    return;
-                }
-            })
-            .expect("spawn catalog supervisor");
-        Self {
-            signal,
-            thread: Some(thread),
-        }
-    }
-
-    /// Requests shutdown and joins the supervisor thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.signal.stop();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for CatalogSupervisor {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 

@@ -30,17 +30,20 @@
 //!   late requests `503` and closes.
 //! - [`json`] — the small JSON parser/writer the API uses (floats render
 //!   shortest-roundtrip, so scores survive HTTP bit-exactly).
-//! - [`catalog`] — the crash-safe model catalog: a watched directory of
-//!   `NMMODEL` artifacts (`<tenant>/<version>.nmmodel`) whose supervisor
+//! - [`catalog`] — the crash-safe model catalog: a directory of
+//!   `NMMODEL` artifacts (`<tenant>/<version>.nmmodel`) whose sync pass
 //!   validates every artifact end-to-end before adoption and hot-swaps
 //!   the newest valid version in. Torn, truncated, corrupt, or mislabeled
 //!   files are ignored; the last-good model keeps serving.
-//! - [`drift`] — the in-server drift loop: classified traffic feeds a
+//! - [`drift`] — in-server drift detection: classified traffic feeds a
 //!   per-tenant [`noisemine_stream::StreamState`]; when the Chernoff
 //!   detector fires, a supervised (panic-isolated, time-bounded,
 //!   circuit-broken) background re-mine produces a new model, persists it
 //!   through the catalog, and self-swaps — mine → serve → drift closes
 //!   with no operator.
+//! - [`supervisor`] — one tick-driven thread that runs the catalog pass
+//!   and the drift ticks; `tick(now)` takes time as an argument, so tests
+//!   step it instead of sleeping.
 //!
 //! See `docs/SERVING.md` for the API reference and operational notes.
 //!
@@ -57,13 +60,15 @@ pub(crate) mod obs;
 pub(crate) mod poll;
 pub mod registry;
 pub mod server;
+pub mod supervisor;
 
 pub use admission::TokenBucket;
-pub use catalog::{Catalog, CatalogSupervisor, SyncReport, TenantScan};
+pub use catalog::{Catalog, SyncReport, TenantScan};
 pub use classify::{classify, Classification};
-pub use drift::{DriftConfig, DriftController, DriftFault, DriftSupervisor};
+pub use drift::{DriftConfig, DriftFault};
 pub use model_io::{decode_model_file, model_bytes, read_model, write_model, ModelIoError};
 pub use registry::{
     Admission, Adoption, ModelRegistry, ServeModel, ServingState, TenantInfo, TenantLookup,
 };
 pub use server::{ServeConfig, Server};
+pub use supervisor::{DriftController, Supervisor, SupervisorHandle};

@@ -9,7 +9,7 @@
 //! model, requests started after see the new one, and the old model is
 //! freed when its last in-flight reference drops.
 //!
-//! A slot can also exist **without** a model: the catalog supervisor
+//! A slot can also exist **without** a model: the catalog pass
 //! declares a tenant as soon as its directory appears, even when no valid
 //! artifact has been adopted yet, so `/readyz` can report the tenant as
 //! degraded instead of silently 404-ing. Each slot additionally carries a
@@ -250,7 +250,7 @@ impl ModelRegistry {
     }
 
     /// Declares a tenant without installing a model (idempotent). Used by
-    /// the catalog supervisor so a tenant whose directory holds no valid
+    /// the catalog pass so a tenant whose directory holds no valid
     /// artifact still shows up — degraded — on `/readyz` instead of
     /// 404-ing.
     pub fn declare(&self, tenant: &str) {
@@ -291,7 +291,7 @@ impl ModelRegistry {
     }
 
     /// Installs `model` only if it is strictly newer than the tenant's
-    /// active model — the automatic-adoption path (catalog supervisor,
+    /// active model — the automatic-adoption path (catalog pass,
     /// drift-loop self-swap). A stale or replayed artifact can therefore
     /// never roll a tenant back.
     pub fn adopt_if_newer(&self, tenant: &str, model: ServeModel) -> Adoption {

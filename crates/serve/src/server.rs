@@ -45,8 +45,8 @@
 //! `200` as long as the event loop breathes (restart the process only if
 //! *that* fails), while `/readyz` reports whether every configured tenant
 //! can actually be served (`503` + per-tenant reasons otherwise — route
-//! traffic away, don't restart; the catalog supervisor or drift loop is
-//! already working the problem).
+//! traffic away, don't restart; the supervisor's catalog pass or drift
+//! loop is already working the problem).
 //!
 //! See `docs/SERVING.md` for request/response examples and the full
 //! connection-lifecycle contract.
@@ -63,7 +63,6 @@ use std::time::{Duration, Instant};
 use noisemine_core::{MatchKernel, Symbol};
 
 use crate::classify::classify_with;
-use crate::drift::DriftController;
 use crate::http::{
     read_request_buffered, try_parse_request, write_response, ConnBuf, Request, Response,
 };
@@ -71,6 +70,7 @@ use crate::json::{self, Value};
 use crate::model_io::read_model;
 use crate::poll::{poll_fds, PollFd, WakePipe};
 use crate::registry::{Admission, ModelRegistry, ServeModel, TenantLookup};
+use crate::supervisor::DriftController;
 
 /// Bound on one response write (a stuck reader cannot pin a worker).
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);

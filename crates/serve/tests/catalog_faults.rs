@@ -7,16 +7,16 @@
 //! The loader-level sweeps in `model_io` prove `read_model` rejects the
 //! corruption; this suite proves the *adoption path* built on top of it
 //! inherits the guarantee: no corrupt byte pattern, at any offset, can
-//! reach a registry through [`Catalog::sync`] or the supervisor thread.
+//! reach a registry through [`Catalog::sync`] or the supervisor's ticks.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use noisemine_core::lattice::Border;
 use noisemine_core::miner::{FrequentPattern, MineOutcome, MineStats, Provenance};
 use noisemine_core::{Alphabet, CompatibilityMatrix, Pattern, PatternModel, Symbol};
 use noisemine_serve::{
-    model_bytes, read_model, Catalog, CatalogSupervisor, ModelRegistry, ServeModel, TenantLookup,
+    model_bytes, read_model, Catalog, ModelRegistry, ServeModel, Supervisor, TenantLookup,
 };
 
 fn sample_model(version: u64) -> PatternModel {
@@ -144,12 +144,12 @@ fn fresh_tenant_with_only_corrupt_artifacts_is_degraded() {
     std::fs::remove_dir_all(cat.root()).ok();
 }
 
-/// The supervisor *thread* (not just the sync primitive) never adopts a
-/// corrupt artifact: with a bit-flipped v2 on disk and the supervisor
-/// scanning on a tight interval, the registry still serves v1 across many
-/// scan cycles — and picks up a valid v3 as soon as it lands.
+/// The supervisor (not just the sync primitive) never adopts a corrupt
+/// artifact: with a bit-flipped v2 on disk, the registry still serves v1
+/// across many scan ticks — and picks up a valid v3 on the first scan
+/// tick after it lands, not before.
 #[test]
-fn supervisor_thread_keeps_last_good_across_scans() {
+fn supervisor_keeps_last_good_across_scan_ticks() {
     let cat = tmp_catalog("supervisor");
     cat.write("t", &sample_model(1)).unwrap();
     let registry = Arc::new(registry_with_v1());
@@ -158,23 +158,31 @@ fn supervisor_thread_keeps_last_good_across_scans() {
     corrupt[mid] ^= 0x01;
     std::fs::write(cat.model_path("t", 2), &corrupt).unwrap();
 
-    let supervisor =
-        CatalogSupervisor::spawn(cat.clone(), Arc::clone(&registry), Duration::from_millis(5));
-    // Many scan cycles over the corrupt artifact…
-    std::thread::sleep(Duration::from_millis(60));
-    assert_eq!(registry.current_version("t"), Some(1));
-
-    // …then a valid v3 lands (crash-safe write) and is adopted without a
-    // restart.
-    cat.write("t", &sample_model(3)).unwrap();
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while registry.current_version("t") != Some(3) {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "supervisor never adopted the valid v3"
-        );
-        std::thread::sleep(Duration::from_millis(5));
+    let interval = Duration::from_millis(5);
+    let t0 = Instant::now();
+    let mut supervisor = Supervisor::new(
+        Arc::clone(&registry),
+        Some((cat.clone(), interval)),
+        None,
+        t0,
+    )
+    .unwrap();
+    // Many scan ticks over the corrupt artifact…
+    let mut now = t0;
+    for _ in 0..12 {
+        let report = supervisor.tick(now).expect("a scan is due every interval");
+        assert!(report.adopted.is_empty(), "{report:?}");
+        assert_eq!(registry.current_version("t"), Some(1));
+        now += interval;
     }
-    supervisor.stop();
+
+    // …then a valid v3 lands (crash-safe write): a tick before the next
+    // scan is due adopts nothing, the scan tick adopts it.
+    cat.write("t", &sample_model(3)).unwrap();
+    assert!(supervisor.tick(now - Duration::from_millis(1)).is_none());
+    assert_eq!(registry.current_version("t"), Some(1));
+    let report = supervisor.tick(now).expect("scan due");
+    assert_eq!(report.adopted, vec![("t".to_string(), 3)]);
+    assert_eq!(registry.current_version("t"), Some(3));
     std::fs::remove_dir_all(cat.root()).ok();
 }

@@ -4,6 +4,10 @@
 //! circuit breaker opens exactly on its failure budget and half-opens on
 //! its cooldown schedule, and the loop recovers (re-mines, validates,
 //! self-swaps) once the faults stop.
+//!
+//! The schedule tests drive [`Supervisor::tick`] at instants they choose,
+//! so every backoff and cooldown is checked at an exact instant; only the
+//! HTTP end-to-end test runs the real supervisor thread.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -17,8 +21,8 @@ use noisemine_datagen::{ProteinWorkload, ProteinWorkloadConfig};
 use noisemine_seqdb::MemoryDb;
 use noisemine_serve::json::{self, Value};
 use noisemine_serve::{
-    Catalog, DriftConfig, DriftFault, DriftSupervisor, ModelRegistry, ServeConfig, ServeModel,
-    Server, ServingState,
+    Catalog, DriftConfig, DriftFault, ModelRegistry, ServeConfig, ServeModel, Server, ServingState,
+    Supervisor,
 };
 
 /// The chaos fixture: a protein workload, an offline-mined model over its
@@ -92,21 +96,48 @@ fn assert_bit_identical(registry: &ModelRegistry, batch: &[Vec<Symbol>]) -> u64 
     model.version()
 }
 
-/// Feeds enough drifted traffic through the controller that the Chernoff
-/// detector must fire (empirically 2 drifted renderings past a 120-clean
-/// anchor; send 4 to leave margin).
-fn feed_drifted(fx: &Fixture, controller: &noisemine_serve::DriftController) {
+/// The drift-loop tick interval every test here uses; the stepped tests
+/// advance `now` by exactly this much per tick.
+const STEP: Duration = Duration::from_millis(10);
+
+/// A supervisor for tenant `t` (no thread) whose baseline is anchored on
+/// clean traffic at `t0`, with enough drifted traffic absorbed behind it
+/// that the Chernoff detector must fire on the next tick (empirically 2
+/// drifted renderings past a 120-clean anchor; 4 leave margin).
+fn drifted_supervisor(
+    fx: &Fixture,
+    registry: &Arc<ModelRegistry>,
+    catalog: Option<Catalog>,
+    config: DriftConfig,
+    t0: Instant,
+) -> Supervisor {
+    // The catalog only persists re-mines here; an hour-long scan interval
+    // keeps its passes out of the schedule under test.
+    let catalog = catalog.map(|c| (c, Duration::from_secs(3600)));
+    let mut sup = Supervisor::new(Arc::clone(registry), catalog, Some(config), t0).unwrap();
+    sup.absorb("t", fx.clean.clone());
+    sup.tick(t0);
     for round in 0..4 {
         let (noisy, _) = fx.workload.uniform_test_db(0.35, 100 + round);
-        controller.ingest("t", &noisy);
+        sup.absorb("t", noisy);
     }
+    sup
+}
+
+fn state(registry: &ModelRegistry) -> (ServingState, String) {
+    let info = registry
+        .tenants()
+        .into_iter()
+        .find(|t| t.tenant == "t")
+        .unwrap();
+    (info.state, info.reason)
 }
 
 /// The acceptance chaos scenario: panic, corrupt-write, panic → breaker
 /// opens on its 3-failure budget; a half-open trial fails → re-opens; the
 /// next trial succeeds → self-swap. Serving stays on last-good v5,
-/// bit-identical, through every failure; the breaker schedule is verified
-/// from the fault hook's own attempt timestamps.
+/// bit-identical, through every failure; every attempt runs at the exact
+/// tick the backoff and cooldown schedule names.
 #[test]
 fn chaos_panics_and_corrupt_writes_never_disturb_serving() {
     let fx = fixture();
@@ -114,11 +145,11 @@ fn chaos_panics_and_corrupt_writes_never_disturb_serving() {
     let registry = Arc::new(ModelRegistry::new(0.0));
     registry.swap("t", ServeModel::compile(fx.model.clone()));
 
-    let attempts: Arc<Mutex<Vec<(u32, Instant)>>> = Arc::new(Mutex::new(Vec::new()));
+    let attempts: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
     let hook_attempts = Arc::clone(&attempts);
     let cooldown = Duration::from_millis(500);
     let config = DriftConfig {
-        interval: Duration::from_millis(10),
+        interval: STEP,
         min_sequences: 100,
         remine_timeout: Duration::from_secs(60),
         backoff_base: Duration::from_millis(30),
@@ -130,7 +161,7 @@ fn chaos_panics_and_corrupt_writes_never_disturb_serving() {
         max_gap: 0,
         fault_hook: Some(Arc::new(move |tenant: &str, n: u32| {
             assert_eq!(tenant, "t");
-            hook_attempts.lock().unwrap().push((n, Instant::now()));
+            hook_attempts.lock().unwrap().push(n);
             match n {
                 // Three straight failures exhaust the breaker budget…
                 1 | 3 => Some(DriftFault::Panic),
@@ -143,78 +174,57 @@ fn chaos_panics_and_corrupt_writes_never_disturb_serving() {
         })),
         ..DriftConfig::default()
     };
-    let (controller, supervisor) =
-        DriftSupervisor::spawn(config, Arc::clone(&registry), Some(cat.clone()));
+    let t0 = Instant::now();
+    let mut sup = drifted_supervisor(&fx, &registry, Some(cat.clone()), config, t0);
 
-    // Clean traffic anchors the baseline…
-    controller.ingest("t", &fx.clean);
-    std::thread::sleep(Duration::from_millis(150));
-    // …then drifted traffic trips the detector and the chaos begins.
-    feed_drifted(&fx, &controller);
-
-    // Poll until the self-swap lands, checking the serving guarantee and
-    // collecting observed states the whole way.
+    // Step time one interval per tick until the self-swap lands, checking
+    // the serving guarantee and recording the tick each attempt ran at.
     let batch: Vec<Vec<Symbol>> = fx.clean.iter().take(24).cloned().collect();
+    let mut ran_at: Vec<Instant> = Vec::new();
     let mut saw_circuit_open = false;
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let version = assert_bit_identical(&registry, &batch);
-        let info = registry
-            .tenants()
-            .into_iter()
-            .find(|t| t.tenant == "t")
-            .unwrap();
-        if info.state == ServingState::CircuitOpen {
+    let mut now = t0;
+    while assert_bit_identical(&registry, &batch) == INITIAL_VERSION {
+        assert!(
+            now < t0 + Duration::from_secs(10),
+            "drift loop never recovered"
+        );
+        now += STEP;
+        sup.tick(now);
+        if attempts.lock().unwrap().len() > ran_at.len() {
+            ran_at.push(now);
+        }
+        let (state, reason) = state(&registry);
+        if state == ServingState::CircuitOpen {
             saw_circuit_open = true;
             assert_eq!(
-                version, INITIAL_VERSION,
+                registry.current_version("t"),
+                Some(INITIAL_VERSION),
                 "breaker open yet serving already moved off last-good"
             );
-            // First open carries the 3-failure budget; a re-open after the
-            // failed half-open trial reports 4.
             assert!(
-                info.reason.contains("consecutive re-mine failures"),
-                "open-state reason should carry the failure count: {:?}",
-                info.reason
+                reason.contains("consecutive re-mine failures"),
+                "open-state reason should carry the failure count: {reason:?}"
             );
         }
-        if version > INITIAL_VERSION {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "drift loop never recovered; attempts: {:?}",
-            attempts.lock().unwrap().len()
-        );
-        std::thread::sleep(Duration::from_millis(5));
     }
-    supervisor.stop();
-
-    // The failure schedule: 4 failures then the successful 5th attempt.
-    let log = attempts.lock().unwrap().clone();
-    assert!(
-        log.len() >= 5,
-        "expected 5 attempts (4 injected failures + success), saw {log:?}"
-    );
-    assert_eq!(
-        log.iter().map(|(n, _)| *n).collect::<Vec<_>>()[..5],
-        [1, 2, 3, 4, 5]
-    );
     assert!(saw_circuit_open, "breaker open state was never observable");
-    // Half-open schedule: attempt 4 (the trial) waited out the cooldown
-    // after attempt 3 opened the breaker, and attempt 5 waited out the
-    // re-open. Timestamps are taken at attempt *start*, and the breaker
-    // opens strictly after the failing attempt starts, so the gap between
-    // consecutive attempts bounds the cooldown from below.
-    let gap_4 = log[3].1.duration_since(log[2].1);
-    let gap_5 = log[4].1.duration_since(log[3].1);
-    assert!(
-        gap_4 >= cooldown,
-        "half-open trial ran {gap_4:?} after open; cooldown is {cooldown:?}"
-    );
-    assert!(
-        gap_5 >= cooldown,
-        "post-re-open trial ran {gap_5:?} after re-open; cooldown is {cooldown:?}"
+
+    // The failure schedule: 4 failures then the successful 5th attempt, at
+    // exact instants. Backoff doubles from 30 ms after failures 1 and 2;
+    // failure 3 opens the breaker, which half-opens exactly one cooldown
+    // later (attempt 4); that trial's failure re-opens it for another.
+    assert_eq!(*attempts.lock().unwrap(), [1, 2, 3, 4, 5]);
+    let ms = Duration::from_millis;
+    let first = t0 + STEP;
+    assert_eq!(
+        ran_at,
+        [
+            first,
+            first + ms(30),
+            first + ms(30 + 60),
+            first + ms(30 + 60) + cooldown,
+            first + ms(30 + 60) + cooldown + cooldown,
+        ]
     );
 
     // Recovery left a coherent world: the adopted version is on disk in
@@ -224,28 +234,23 @@ fn chaos_panics_and_corrupt_writes_never_disturb_serving() {
     let (cat_version, cat_model) = cat.latest_valid("t").expect("artifact persisted");
     assert_eq!(cat_version, final_version);
     assert_eq!(cat_model.version, final_version);
-    let info = registry
-        .tenants()
-        .into_iter()
-        .find(|t| t.tenant == "t")
-        .unwrap();
-    assert_eq!(info.state, ServingState::Current);
-    // And the corrupt-write attempt left its rejected artifact behind
-    // without ever serving it.
+    assert_eq!(state(&registry).0, ServingState::Current);
     std::fs::remove_dir_all(cat.root()).ok();
 }
 
 /// A timeout storm: every re-mine stalls past the deadline. Failures
-/// accumulate, the breaker opens, and serving never leaves the last-good
-/// model — bit-identical the whole time.
+/// accumulate, the breaker opens on its budget, and serving never leaves
+/// the last-good model — bit-identical the whole time.
 #[test]
 fn remine_timeout_storm_keeps_last_good_serving() {
     let fx = fixture();
     let registry = Arc::new(ModelRegistry::new(0.0));
     registry.swap("t", ServeModel::compile(fx.model.clone()));
 
+    let attempts: Arc<Mutex<u32>> = Arc::default();
+    let hook_attempts = Arc::clone(&attempts);
     let config = DriftConfig {
-        interval: Duration::from_millis(10),
+        interval: STEP,
         min_sequences: 100,
         remine_timeout: Duration::from_millis(40),
         backoff_base: Duration::from_millis(20),
@@ -255,43 +260,35 @@ fn remine_timeout_storm_keeps_last_good_serving() {
         sample_size: 400,
         max_len: 8,
         max_gap: 0,
-        fault_hook: Some(Arc::new(|_: &str, _: u32| {
+        fault_hook: Some(Arc::new(move |_: &str, _: u32| {
+            *hook_attempts.lock().unwrap() += 1;
             Some(DriftFault::Stall(Duration::from_millis(400)))
         })),
         ..DriftConfig::default()
     };
     // No catalog: a timed-out mine must fail before any artifact I/O.
-    let (controller, supervisor) = DriftSupervisor::spawn(config, Arc::clone(&registry), None);
-    controller.ingest("t", &fx.clean);
-    std::thread::sleep(Duration::from_millis(150));
-    feed_drifted(&fx, &controller);
+    let t0 = Instant::now();
+    let mut sup = drifted_supervisor(&fx, &registry, None, config, t0);
 
-    // Two timeouts at ~40ms each plus backoff: the breaker must be open
-    // well within two seconds, and stay open (300s cooldown).
+    // Attempt 1 starts at t0 + 10 ms and times out at its 40 ms deadline,
+    // then backs off 20 ms from there; attempt 2 starts at t0 + 70 ms and
+    // opens the breaker. The rest of the second of ticks stays open (300 s
+    // cooldown) and on last-good v5.
     let batch: Vec<Vec<Symbol>> = fx.clean.iter().take(24).cloned().collect();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let version = assert_bit_identical(&registry, &batch);
-        assert_eq!(version, INITIAL_VERSION, "a timed-out mine was adopted");
-        let info = registry
-            .tenants()
-            .into_iter()
-            .find(|t| t.tenant == "t")
-            .unwrap();
-        if info.state == ServingState::CircuitOpen {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "breaker never opened under the timeout storm"
+    for step in 1..=100u32 {
+        sup.tick(t0 + STEP * step);
+        assert_eq!(
+            assert_bit_identical(&registry, &batch),
+            INITIAL_VERSION,
+            "a timed-out mine was adopted"
         );
-        std::thread::sleep(Duration::from_millis(5));
+        let expected = match step {
+            1..=6 => ServingState::Stale,
+            _ => ServingState::CircuitOpen,
+        };
+        assert_eq!(state(&registry).0, expected, "tick {step}");
     }
-    // Grace period: still serving last-good, still bit-identical, breaker
-    // still open.
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(assert_bit_identical(&registry, &batch), INITIAL_VERSION);
-    supervisor.stop();
+    assert_eq!(*attempts.lock().unwrap(), 2);
 }
 
 /// One raw HTTP/1.1 exchange over a real socket (`Connection: close`).
@@ -363,7 +360,7 @@ fn http_traffic_drives_drift_remine_and_self_swap() {
     registry.swap("t", ServeModel::compile(fx.model.clone()));
 
     let drift_config = DriftConfig {
-        interval: Duration::from_millis(10),
+        interval: STEP,
         min_sequences: 100,
         remine_timeout: Duration::from_secs(60),
         sample_size: 400,
@@ -371,12 +368,19 @@ fn http_traffic_drives_drift_remine_and_self_swap() {
         max_gap: 0,
         ..DriftConfig::default()
     };
-    let (controller, supervisor) =
-        DriftSupervisor::spawn(drift_config, Arc::clone(&registry), Some(cat.clone()));
+    let catalog = Some((cat.clone(), Duration::from_millis(50)));
+    let (supervisor, _) = Supervisor::new(
+        Arc::clone(&registry),
+        catalog,
+        Some(drift_config),
+        Instant::now(),
+    )
+    .unwrap()
+    .spawn();
     let server = Server::start_with(
         &ServeConfig::default(),
         Arc::clone(&registry),
-        Some(controller),
+        supervisor.controller(),
     )
     .unwrap();
     let addr = server.addr().to_string();
@@ -397,6 +401,9 @@ fn http_traffic_drives_drift_remine_and_self_swap() {
         let (status, resp) = http(&addr, "POST", "/v1/classify", &body);
         assert_eq!(status, 200, "{resp}");
     }
+    // Give the supervisor thread a few ticks to anchor on clean traffic
+    // alone. Nothing below depends on it: an anchor that also saw some
+    // drifted traffic only delays the swap the loop waits for.
     std::thread::sleep(Duration::from_millis(150));
 
     // Drifted traffic: keep classifying until the server swaps itself.
@@ -465,14 +472,14 @@ fn http_traffic_drives_drift_remine_and_self_swap() {
 
     server.stop();
     server.join();
-    supervisor.stop();
+    supervisor.stop().expect("supervisor thread exits cleanly");
     std::fs::remove_dir_all(cat.root()).ok();
 }
 
-/// Without faults, the loop detects planted drift, re-mines once, writes
-/// the artifact crash-safely, and self-swaps a strictly newer version —
-/// and the adopted model classifies bit-identically to the offline kernel
-/// over drifted traffic too.
+/// Without faults, the first tick after planted drift re-mines once,
+/// writes the artifact crash-safely, and self-swaps a strictly newer
+/// version — and the adopted model classifies bit-identically to the
+/// offline kernel over drifted traffic too.
 #[test]
 fn fault_free_drift_self_swaps_once() {
     let fx = fixture();
@@ -480,30 +487,38 @@ fn fault_free_drift_self_swaps_once() {
     let registry = Arc::new(ModelRegistry::new(0.0));
     registry.swap("t", ServeModel::compile(fx.model.clone()));
 
+    let attempts: Arc<Mutex<u32>> = Arc::default();
+    let hook_attempts = Arc::clone(&attempts);
     let config = DriftConfig {
-        interval: Duration::from_millis(10),
+        interval: STEP,
         min_sequences: 100,
         remine_timeout: Duration::from_secs(60),
         sample_size: 400,
         max_len: 8,
         max_gap: 0,
+        fault_hook: Some(Arc::new(move |_: &str, _: u32| {
+            *hook_attempts.lock().unwrap() += 1;
+            None
+        })),
         ..DriftConfig::default()
     };
-    let (controller, supervisor) =
-        DriftSupervisor::spawn(config, Arc::clone(&registry), Some(cat.clone()));
-    controller.ingest("t", &fx.clean);
-    std::thread::sleep(Duration::from_millis(150));
-    feed_drifted(&fx, &controller);
-
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while registry.current_version("t") == Some(INITIAL_VERSION) {
-        assert!(Instant::now() < deadline, "drift self-swap never happened");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    supervisor.stop();
-
+    let t0 = Instant::now();
+    let mut sup = drifted_supervisor(&fx, &registry, Some(cat.clone()), config, t0);
+    sup.tick(t0 + STEP);
     let new_version = registry.current_version("t").unwrap();
-    assert!(new_version > INITIAL_VERSION);
+    assert!(
+        new_version > INITIAL_VERSION,
+        "no self-swap on the drift tick"
+    );
+    assert_eq!(state(&registry).0, ServingState::Current);
+    // The re-mine re-anchored the detector: with no new traffic, later
+    // ticks do not mine again.
+    for step in 2..=10u32 {
+        sup.tick(t0 + STEP * step);
+    }
+    assert_eq!(*attempts.lock().unwrap(), 1);
+    assert_eq!(registry.current_version("t"), Some(new_version));
+
     // The new model serves drifted traffic bit-identically to offline.
     let (drifted, _) = fx.workload.uniform_test_db(0.35, 100);
     let batch: Vec<Vec<Symbol>> = drifted.into_iter().take(24).collect();
