@@ -11,14 +11,14 @@
 //! one scan per ambiguous level and is exactly what Figure 14 shows losing
 //! to border collapsing once patterns get long.
 
-use noisemine_core::border_collapse::{collapse, ProbeStrategy};
+use noisemine_core::border_collapse::{try_collapse_with_known_kernel_indexed, ProbeStrategy};
 use noisemine_core::candidates::PatternSpace;
 use noisemine_core::chernoff::SpreadMode;
 use noisemine_core::lattice::{AmbiguousSpace, Border};
 use noisemine_core::matching::SequenceScan;
 use noisemine_core::matrix::CompatibilityMatrix;
-use noisemine_core::miner::{phase1, FrequentPattern, MinerConfig};
-use noisemine_core::sample_miner::mine_sample_budgeted;
+use noisemine_core::miner::{try_phase1_threads, FrequentPattern, MinerConfig};
+use noisemine_core::sample_miner::mine_sample_budgeted_kernel;
 use noisemine_core::Result;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,11 +56,11 @@ where
     let mut scans = 0usize;
 
     // Phase 1: symbol matches + sample (one scan).
-    let p1 = phase1(db, matrix, config.sample_size, &mut rng);
+    let p1 = try_phase1_threads(db, matrix, config.sample_size, &mut rng, config.threads)?;
     scans += 1;
 
     // Phase 2: classify candidates on the sample.
-    let p2 = mine_sample_budgeted(
+    let p2 = mine_sample_budgeted_kernel(
         &p1.sample,
         matrix,
         &p1.symbol_match,
@@ -69,6 +69,7 @@ where
         config.spread_mode,
         &config.space,
         config.max_sample_patterns,
+        config.match_kernel,
     );
     if p2.truncated {
         return Err(noisemine_core::Error::InvalidConfig(
@@ -80,14 +81,18 @@ where
     // Finalization: level-wise verification of the ambiguous region.
     let ambiguous = AmbiguousSpace::new(p2.ambiguous.iter().map(|(p, _)| p.clone()));
     let ambiguous_verified = ambiguous.len();
-    let p3 = collapse(
+    let p3 = try_collapse_with_known_kernel_indexed(
         ambiguous,
+        &[],
         db,
         matrix,
         config.min_match,
         config.counters_per_scan,
         ProbeStrategy::LevelWise,
-    );
+        config.threads,
+        config.match_kernel,
+        None,
+    )?;
     scans += p3.scans;
 
     let (frequent, border) = noisemine_core::miner::assemble_outcome(&p2, &p3);

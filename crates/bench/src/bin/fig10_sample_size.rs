@@ -10,9 +10,9 @@ use noisemine_bench::args::Args;
 use noisemine_bench::table::Table;
 use noisemine_core::chernoff::SpreadMode;
 use noisemine_core::matching::MemorySequences;
-use noisemine_core::miner::phase1;
-use noisemine_core::sample_miner::mine_sample_budgeted;
-use noisemine_core::PatternSpace;
+use noisemine_core::miner::try_phase1_threads;
+use noisemine_core::sample_miner::mine_sample_budgeted_kernel;
+use noisemine_core::{MatchKernel, PatternSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,8 +49,8 @@ fn main() {
         let db = MemorySequences(noisy);
         for &n in &sample_sizes {
             let mut rng = StdRng::seed_from_u64(seed ^ (n as u64) << 8);
-            let p1 = phase1(&db, &norm, n, &mut rng);
-            let p2 = mine_sample_budgeted(
+            let p1 = try_phase1_threads(&db, &norm, n, &mut rng, 0).expect("in-memory scan");
+            let p2 = mine_sample_budgeted_kernel(
                 &p1.sample,
                 &norm,
                 &p1.symbol_match,
@@ -59,6 +59,7 @@ fn main() {
                 SpreadMode::Restricted,
                 &space,
                 2_000_000,
+                MatchKernel::default(),
             );
             assert!(
                 !p2.truncated,

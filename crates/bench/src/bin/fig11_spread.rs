@@ -12,9 +12,9 @@ use noisemine_bench::args::Args;
 use noisemine_bench::table::{fmt, Table};
 use noisemine_core::chernoff::{restricted_spread, SpreadMode};
 use noisemine_core::matching::MemorySequences;
-use noisemine_core::miner::phase1;
-use noisemine_core::sample_miner::mine_sample;
-use noisemine_core::PatternSpace;
+use noisemine_core::miner::try_phase1_threads;
+use noisemine_core::sample_miner::{mine_sample_budgeted_kernel, DEFAULT_MAX_SAMPLE_PATTERNS};
+use noisemine_core::{MatchKernel, PatternSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -58,9 +58,9 @@ fn main() {
             .expect("positive diagonals");
         let db = MemorySequences(noisy);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1102);
-        let p1 = phase1(&db, &norm, sample_size, &mut rng);
+        let p1 = try_phase1_threads(&db, &norm, sample_size, &mut rng, 0).expect("in-memory scan");
 
-        let restricted = mine_sample(
+        let restricted = mine_sample_budgeted_kernel(
             &p1.sample,
             &norm,
             &p1.symbol_match,
@@ -68,8 +68,10 @@ fn main() {
             delta,
             SpreadMode::Restricted,
             &space,
+            DEFAULT_MAX_SAMPLE_PATTERNS,
+            MatchKernel::default(),
         );
-        let full = mine_sample(
+        let full = mine_sample_budgeted_kernel(
             &p1.sample,
             &norm,
             &p1.symbol_match,
@@ -77,6 +79,8 @@ fn main() {
             delta,
             SpreadMode::Full,
             &space,
+            DEFAULT_MAX_SAMPLE_PATTERNS,
+            MatchKernel::default(),
         );
 
         // 11(a): average restricted spread per level over all evaluated

@@ -1,11 +1,11 @@
 //! Positional symbol index: skip-scan probe throughput vs the full scan.
 //!
 //! Times phase-3-style probe batches through
-//! [`try_db_match_many_kernel_indexed`] with and without a [`SkipPlan`],
+//! [`try_db_match_many`] with and without a [`SkipPlan`],
 //! over a grid of alphabet sizes × probe lengths × batch sizes. Probe
 //! batches mimic a border-collapse frontier: every probe shares a common
 //! motif core and perturbs one position, exactly the shape
-//! `collapse_with_known` emits — the shared core is what keeps the
+//! border collapsing emits — the shared core is what keeps the
 //! union-of-candidates plan selective.
 //!
 //! The matrix is the identity, the sparsest compatibility structure: a
@@ -18,7 +18,7 @@
 //! Before timing anything it verifies the bit-identity contract: the
 //! indexed scan must return the exact same `Vec<f64>` as the full scan for
 //! every grid point. Plan construction is timed inside the indexed mode
-//! (that is where `collapse_with_known` pays it). Results are printed as a
+//! (that is where border collapsing pays it). Results are printed as a
 //! table and recorded as JSON (default `BENCH_index.json`); the CI bench
 //! gate compares that file against the committed baseline.
 
@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use noisemine_bench::args::Args;
 use noisemine_bench::table::Table;
-use noisemine_core::matching::try_db_match_many_kernel_indexed;
+use noisemine_core::matching::try_db_match_many;
 use noisemine_core::pattern::Pattern;
 use noisemine_core::{CompatibilityMatrix, MatchKernel, SkipPlan, Symbol, SymbolIndexBuilder};
 use noisemine_datagen::scalability_db;
@@ -162,7 +162,7 @@ fn scan(
     matrix: &CompatibilityMatrix,
     plan: Option<&SkipPlan>,
 ) -> Vec<f64> {
-    try_db_match_many_kernel_indexed(probes, db, matrix, 1, MatchKernel::Trie, plan)
+    try_db_match_many(probes, db, matrix, 1, MatchKernel::Trie, plan)
         .expect("in-memory scan cannot fail")
 }
 
@@ -180,7 +180,7 @@ fn run_full(probes: &[Pattern], db: &MemoryDb, matrix: &CompatibilityMatrix, rep
 }
 
 /// Times `repeat` single-threaded indexed scans — including plan
-/// construction, which is where `collapse_with_known` pays for it on every
+/// construction, which is where border collapsing pays for it on every
 /// probe batch — and returns the best wall-clock.
 fn run_indexed(
     probes: &[Pattern],

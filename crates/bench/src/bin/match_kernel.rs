@@ -1,6 +1,6 @@
 //! Batched candidate-trie and columnar SIMD kernels vs the naive oracle.
 //!
-//! Times [`db_match_many_kernel`] under all three [`MatchKernel`]s over a
+//! Times [`try_db_match_many`] under all three [`MatchKernel`]s over a
 //! grid of candidate-batch sizes × pattern lengths × matrices, on the same
 //! synthetic database per alphabet. Two matrix regimes:
 //!
@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use noisemine_bench::args::Args;
 use noisemine_bench::table::Table;
-use noisemine_core::matching::db_match_many_kernel;
+use noisemine_core::matching::try_db_match_many;
 use noisemine_core::pattern::Pattern;
 use noisemine_core::{simd_active, CompatibilityMatrix, MatchKernel, Symbol};
 use noisemine_datagen::noise::{channel_to_compatibility, partner_channel};
@@ -115,14 +115,19 @@ fn main() {
                 // Value contracts first: the fast kernels are only valid
                 // optimizations if they never change a single bit.
                 let naive_out =
-                    db_match_many_kernel(&patterns, &db, &matrix, 1, MatchKernel::Naive);
-                let trie_out = db_match_many_kernel(&patterns, &db, &matrix, 1, MatchKernel::Trie);
+                    try_db_match_many(&patterns, &db, &matrix, 1, MatchKernel::Naive, None)
+                        .expect("in-memory scan cannot fail");
+                let trie_out =
+                    try_db_match_many(&patterns, &db, &matrix, 1, MatchKernel::Trie, None)
+                        .expect("in-memory scan cannot fail");
                 assert!(
                     naive_out == trie_out,
                     "trie kernel diverged from naive at {regime} m = {m}, len = {len}, \
                      candidates = {candidates} — bit-identity contract broken"
                 );
-                let simd_out = db_match_many_kernel(&patterns, &db, &matrix, 1, MatchKernel::Simd);
+                let simd_out =
+                    try_db_match_many(&patterns, &db, &matrix, 1, MatchKernel::Simd, None)
+                        .expect("in-memory scan cannot fail");
                 for (i, (a, b)) in simd_out.iter().zip(&trie_out).enumerate() {
                     assert!(
                         a.to_bits() == b.to_bits(),
@@ -218,7 +223,8 @@ fn run(
     let mut best = f64::INFINITY;
     for _ in 0..repeat {
         let start = Instant::now();
-        let out = db_match_many_kernel(patterns, db, matrix, 1, kernel);
+        let out = try_db_match_many(patterns, db, matrix, 1, kernel, None)
+            .expect("in-memory scan cannot fail");
         best = best.min(start.elapsed().as_secs_f64());
         std::hint::black_box(out);
     }

@@ -1,6 +1,7 @@
-//! Parallel phase-1 scan throughput (`scan_map_reduce` over both stores).
+//! Parallel phase-1 scan throughput (`try_scan_map_reduce` over both
+//! stores).
 //!
-//! Times [`phase1_threads`] over the same synthetic database at several
+//! Times [`try_phase1_threads`] over the same synthetic database at several
 //! worker-thread counts, against both the in-memory store and the
 //! disk-resident store (whose block scan overlaps file I/O with compute via
 //! read-ahead double buffering). Before timing anything it verifies the
@@ -15,7 +16,7 @@ use std::time::Instant;
 use noisemine_bench::args::Args;
 use noisemine_bench::table::Table;
 use noisemine_core::matching::SequenceScan;
-use noisemine_core::miner::{phase1_threads, Phase1Output};
+use noisemine_core::miner::{try_phase1_threads, Phase1Output};
 use noisemine_core::CompatibilityMatrix;
 use noisemine_datagen::{scalability_db, sparse_random_matrix};
 use noisemine_seqdb::{DiskDb, MemoryDb};
@@ -120,7 +121,7 @@ fn run(
     for _ in 0..repeat {
         let mut rng = StdRng::seed_from_u64(seed);
         let start = Instant::now();
-        let p1 = phase1_threads(db, matrix, sample, &mut rng, threads);
+        let p1 = try_phase1_threads(db, matrix, sample, &mut rng, threads).expect("phase-1 scan");
         best = best.min(start.elapsed().as_secs_f64());
         output = Some(p1);
     }

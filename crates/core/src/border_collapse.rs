@@ -28,7 +28,7 @@ use crate::error::ScanError;
 use crate::index::{SkipPlan, SymbolIndex};
 use crate::lattice::AmbiguousSpace;
 use crate::match_kernel::MatchKernel;
-use crate::matching::{try_db_match_many_kernel_indexed, SequenceScan};
+use crate::matching::{try_db_match_many, SequenceScan};
 use crate::matrix::CompatibilityMatrix;
 use crate::pattern::Pattern;
 
@@ -70,8 +70,8 @@ pub struct CollapseResult {
     /// border sits from the estimate shows up as how much counting each
     /// verification scan needs).
     pub probes_per_scan: Vec<usize>,
-    /// Pre-verified patterns applied without scanning (see
-    /// [`collapse_with_known`]).
+    /// Pre-verified patterns applied without scanning (the `known` argument
+    /// of [`try_collapse_with_known_kernel_indexed`]).
     pub known_applied: usize,
 }
 
@@ -89,132 +89,25 @@ pub enum ProbeStrategy {
 
 /// Resolves every ambiguous pattern against the full database.
 ///
-/// `counters_per_scan` models the memory available for match counters: each
-/// database scan evaluates at most that many patterns ("until the memory is
-/// filled up", Algorithm 4.3).
-pub fn collapse<S: SequenceScan + ?Sized>(
-    space: AmbiguousSpace,
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    min_match: f64,
-    counters_per_scan: usize,
-    strategy: ProbeStrategy,
-) -> CollapseResult {
-    collapse_with_known(
-        space,
-        &[],
-        db,
-        matrix,
-        min_match,
-        counters_per_scan,
-        strategy,
-        0,
-    )
-}
-
-/// [`collapse`] with a set of *pre-verified* exact matches.
+/// - `known` holds `(pattern, exact database match)` pairs the caller
+///   already maintains — an incremental engine keeps online counters for
+///   the patterns it has probed before. Those verdicts are applied first,
+///   collapsing their region of the ambiguous space via Apriori propagation
+///   without a single database scan; only what remains is probed. Known
+///   patterns outside the ambiguous space are ignored.
+/// - `counters_per_scan` models the memory available for match counters:
+///   each database scan evaluates at most that many patterns ("until the
+///   memory is filled up", Algorithm 4.3).
+/// - `threads` (`0` = all available cores), `kernel` and `symbol_index`
+///   are purely operational, as in
+///   [`try_db_match_many`]: with an
+///   index, each probe scan builds a [`SkipPlan`] for its batch and
+///   evaluates only the sequences that can match at least one probe. The
+///   verdicts and match values never depend on any of the three.
 ///
-/// `known` holds `(pattern, exact database match)` pairs the caller already
-/// maintains — an incremental engine keeps online counters for the patterns
-/// it has probed before. Those verdicts are applied first, collapsing their
-/// region of the ambiguous space via Apriori propagation without a single
-/// database scan; only what remains is probed. Known patterns outside the
-/// ambiguous space are ignored. `threads` is the worker-thread count for
-/// each verification scan (`0` = all available cores); it never changes the
-/// verdicts (see [`db_match_many_threads`](crate::matching::db_match_many_threads)).
-#[allow(clippy::too_many_arguments)]
-pub fn collapse_with_known<S: SequenceScan + ?Sized>(
-    space: AmbiguousSpace,
-    known: &[(Pattern, f64)],
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    min_match: f64,
-    counters_per_scan: usize,
-    strategy: ProbeStrategy,
-    threads: usize,
-) -> CollapseResult {
-    match try_collapse_with_known(
-        space,
-        known,
-        db,
-        matrix,
-        min_match,
-        counters_per_scan,
-        strategy,
-        threads,
-    ) {
-        Ok(result) => result,
-        Err(e) => panic!("database scan failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`collapse_with_known`]: a failed verification scan
-/// surfaces as `Err` instead of panicking. No partial phase-3 result
+/// A failed verification scan surfaces as `Err`. No partial phase-3 result
 /// escapes — verdicts applied before the failing scan are discarded with
 /// the rest, so a caller that retries starts from a clean collapse.
-#[allow(clippy::too_many_arguments)]
-pub fn try_collapse_with_known<S: SequenceScan + ?Sized>(
-    space: AmbiguousSpace,
-    known: &[(Pattern, f64)],
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    min_match: f64,
-    counters_per_scan: usize,
-    strategy: ProbeStrategy,
-    threads: usize,
-) -> Result<CollapseResult, ScanError> {
-    try_collapse_with_known_kernel(
-        space,
-        known,
-        db,
-        matrix,
-        min_match,
-        counters_per_scan,
-        strategy,
-        threads,
-        MatchKernel::default(),
-    )
-}
-
-/// [`try_collapse_with_known`] with an explicit [`MatchKernel`] for the
-/// layer-probe scans. Like `threads`, the kernel is purely operational: all
-/// kernels produce identical probe values (see [`crate::match_kernel`] and
-/// the zero [`SIMD_MAX_ULP`](crate::match_kernel::simd::SIMD_MAX_ULP)
-/// contract of the columnar kernel), so the verdicts never depend on it.
-#[allow(clippy::too_many_arguments)]
-pub fn try_collapse_with_known_kernel<S: SequenceScan + ?Sized>(
-    space: AmbiguousSpace,
-    known: &[(Pattern, f64)],
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    min_match: f64,
-    counters_per_scan: usize,
-    strategy: ProbeStrategy,
-    threads: usize,
-    kernel: MatchKernel,
-) -> Result<CollapseResult, ScanError> {
-    try_collapse_with_known_kernel_indexed(
-        space,
-        known,
-        db,
-        matrix,
-        min_match,
-        counters_per_scan,
-        strategy,
-        threads,
-        kernel,
-        None,
-    )
-}
-
-/// [`try_collapse_with_known_kernel`] with an optional positional
-/// [`SymbolIndex`] over `db` (see [`crate::index`]).
-///
-/// Each probe scan builds a [`SkipPlan`] for its batch, so the
-/// verification scan evaluates only sequences that can match at least one
-/// probe; everything else is skipped while still counting toward the
-/// Definition 3.7 denominator. Like `threads` and `kernel`, the index is
-/// purely operational — the verdicts are bit-identical with and without it.
 #[allow(clippy::too_many_arguments)]
 pub fn try_collapse_with_known_kernel_indexed<S: SequenceScan + ?Sized>(
     mut space: AmbiguousSpace,
@@ -259,8 +152,7 @@ pub fn try_collapse_with_known_kernel_indexed<S: SequenceScan + ?Sized>(
             crate::obs::index_plans_built().inc();
             SkipPlan::build(ix, &probes, matrix)
         });
-        let values =
-            try_db_match_many_kernel_indexed(&probes, db, matrix, threads, kernel, plan.as_ref())?;
+        let values = try_db_match_many(&probes, db, matrix, threads, kernel, plan.as_ref())?;
         result.scans += 1;
         result.probes += probes.len();
         result.probes_per_scan.push(probes.len());
@@ -491,14 +383,19 @@ mod tests {
         let space = AmbiguousSpace::new(chain);
         let database = db();
         let matrix = CompatibilityMatrix::paper_figure2();
-        let r = collapse(
+        let r = try_collapse_with_known_kernel_indexed(
             space,
+            &[],
             &database,
             &matrix,
             0.15,
             100,
             ProbeStrategy::BorderCollapsing,
-        );
+            0,
+            MatchKernel::default(),
+            None,
+        )
+        .unwrap();
         assert_eq!(r.scans, 1);
         assert_eq!(r.frequent.len() + r.infrequent.len(), 3);
     }
@@ -518,14 +415,20 @@ mod tests {
             pat("d0 d1"),
             pat("d0 d1 d2"),
         ];
-        let r = collapse(
+        let r = try_collapse_with_known_kernel_indexed(
             AmbiguousSpace::new(patterns.clone()),
+            &[],
             &database,
             &matrix,
             min_match,
-            2, // tiny budget forces multiple scans
+            2,
+            // tiny budget forces multiple scans
             ProbeStrategy::BorderCollapsing,
-        );
+            0,
+            MatchKernel::default(),
+            None,
+        )
+        .unwrap();
         assert!(r.scans >= 2);
         // Every pattern must be resolved exactly as the oracle says.
         for p in &patterns {
@@ -546,14 +449,19 @@ mod tests {
         let database = db();
         let matrix = CompatibilityMatrix::paper_figure2();
         let patterns = vec![pat("d1"), pat("d1 d0"), pat("d2 d1 d0")];
-        let r = collapse(
+        let r = try_collapse_with_known_kernel_indexed(
             AmbiguousSpace::new(patterns),
+            &[],
             &database,
             &matrix,
             0.15,
             100,
             ProbeStrategy::LevelWise,
-        );
+            0,
+            MatchKernel::default(),
+            None,
+        )
+        .unwrap();
         // Three levels present; level-wise probes one level per scan, but
         // Apriori propagation may resolve later levels early.
         assert!(r.scans >= 1 && r.scans <= 3);
@@ -572,22 +480,32 @@ mod tests {
             pat("d0 d1 d2 d0"),
         ];
         let budget = 3;
-        let bc = collapse(
+        let bc = try_collapse_with_known_kernel_indexed(
             AmbiguousSpace::new(patterns.clone()),
+            &[],
             &database,
             &matrix,
             0.1,
             budget,
             ProbeStrategy::BorderCollapsing,
-        );
-        let lw = collapse(
+            0,
+            MatchKernel::default(),
+            None,
+        )
+        .unwrap();
+        let lw = try_collapse_with_known_kernel_indexed(
             AmbiguousSpace::new(patterns),
+            &[],
             &database,
             &matrix,
             0.1,
             budget,
             ProbeStrategy::LevelWise,
-        );
+            0,
+            MatchKernel::default(),
+            None,
+        )
+        .unwrap();
         assert!(
             bc.scans <= lw.scans,
             "border collapsing {} scans > level-wise {}",
@@ -612,7 +530,7 @@ mod tests {
             .iter()
             .map(|p| (p.clone(), db_match(p, &database, &matrix)))
             .collect();
-        let r = collapse_with_known(
+        let r = try_collapse_with_known_kernel_indexed(
             AmbiguousSpace::new(patterns.clone()),
             &known,
             &database,
@@ -621,7 +539,10 @@ mod tests {
             10,
             ProbeStrategy::BorderCollapsing,
             0,
-        );
+            MatchKernel::default(),
+            None,
+        )
+        .unwrap();
         assert_eq!(r.scans, 0, "known values must resolve without scanning");
         assert_eq!(r.frequent.len() + r.infrequent.len(), patterns.len());
         for p in &patterns {
@@ -651,7 +572,7 @@ mod tests {
             .iter()
             .map(|p| (p.clone(), db_match(p, &database, &matrix)))
             .collect();
-        let with_known = collapse_with_known(
+        let with_known = try_collapse_with_known_kernel_indexed(
             AmbiguousSpace::new(patterns.clone()),
             &known,
             &database,
@@ -660,15 +581,23 @@ mod tests {
             2,
             ProbeStrategy::BorderCollapsing,
             0,
-        );
-        let plain = collapse(
+            MatchKernel::default(),
+            None,
+        )
+        .unwrap();
+        let plain = try_collapse_with_known_kernel_indexed(
             AmbiguousSpace::new(patterns.clone()),
+            &[],
             &database,
             &matrix,
             min_match,
             2,
             ProbeStrategy::BorderCollapsing,
-        );
+            0,
+            MatchKernel::default(),
+            None,
+        )
+        .unwrap();
         assert_eq!(with_known.known_applied, 2);
         assert!(with_known.scans <= plain.scans);
         let freq_known: std::collections::HashSet<_> = with_known
@@ -692,7 +621,7 @@ mod tests {
         let database = db();
         let matrix = CompatibilityMatrix::paper_figure2();
         let known = vec![(pat("d4 d4"), 0.9)];
-        let r = collapse_with_known(
+        let r = try_collapse_with_known_kernel_indexed(
             AmbiguousSpace::new(vec![pat("d1")]),
             &known,
             &database,
@@ -701,7 +630,10 @@ mod tests {
             10,
             ProbeStrategy::BorderCollapsing,
             0,
-        );
+            MatchKernel::default(),
+            None,
+        )
+        .unwrap();
         assert_eq!(r.known_applied, 0);
         assert!(!r
             .frequent
@@ -712,14 +644,19 @@ mod tests {
 
     #[test]
     fn empty_space_needs_no_scans() {
-        let r = collapse(
+        let r = try_collapse_with_known_kernel_indexed(
             AmbiguousSpace::default(),
+            &[],
             &db(),
             &CompatibilityMatrix::paper_figure2(),
             0.1,
             10,
             ProbeStrategy::BorderCollapsing,
-        );
+            0,
+            MatchKernel::default(),
+            None,
+        )
+        .unwrap();
         assert_eq!(r.scans, 0);
         assert!(r.frequent.is_empty() && r.infrequent.is_empty());
     }

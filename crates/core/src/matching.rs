@@ -12,12 +12,15 @@
 //!
 //! # Observability
 //!
-//! Scans issued here route through [`crate::parallel::scan_map_reduce`],
-//! which (when the [`noisemine_obs`] registry is enabled) counts every
-//! streamed sequence in `core_scan_sequences_total` and every dispatched
-//! block in `parallel_scan_blocks_total` — covering both the phase-1 scan
-//! and the phase-3 probe scans of [`db_match_many_threads`]. See
-//! `docs/OBSERVABILITY.md` for the full metric reference.
+//! Multi-pattern scans issued here ([`try_db_match_many`]) run on
+//! [`crate::parallel::try_scan_map_reduce`] and, when the
+//! [`noisemine_obs`] registry is enabled, count every sequence of a
+//! database scan in `core_scan_sequences_total` and every block in
+//! `parallel_scan_blocks_total` — together with the phase-1 scan in
+//! [`crate::miner`], those counters read N × database scans. Phase 2's
+//! sample match shares the block engine and the match evaluator but scans
+//! no database, so it counts in neither. See `docs/OBSERVABILITY.md` for
+//! the full metric reference.
 
 use crate::alphabet::Symbol;
 use crate::error::ScanError;
@@ -25,6 +28,7 @@ use crate::index::SkipPlan;
 use crate::match_kernel::simd::SimdScratch;
 use crate::match_kernel::{CandidateTrie, MatchKernel, TrieScratch};
 use crate::matrix::CompatibilityMatrix;
+use crate::parallel::{resolve_threads, try_scan_map_reduce, PARALLEL_THRESHOLD, SCAN_BLOCK_SIZE};
 use crate::pattern::{Pattern, PatternElem};
 
 /// A batch of sequences in flat storage, the unit of work of the block
@@ -301,7 +305,9 @@ fn segment_match_pruned(
 }
 
 /// Match of a pattern in a database (Definition 3.7): the average of
-/// [`sequence_match`] over every sequence. Performs exactly one scan.
+/// [`sequence_match`] over every sequence. Performs exactly one scan — the
+/// one-pattern reference the batched scans of [`try_db_match_many`] are
+/// tested against.
 ///
 /// The average is taken over the sequences the scan *actually* visited, not
 /// over the reported [`SequenceScan::num_sequences`] — the two can disagree
@@ -312,140 +318,59 @@ pub fn db_match<S: SequenceScan + ?Sized>(
     db: &S,
     matrix: &CompatibilityMatrix,
 ) -> f64 {
-    match try_db_match(pattern, db, matrix) {
-        Ok(v) => v,
-        Err(e) => panic!("database scan failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`db_match`]: surfaces scan failures from the store
-/// instead of panicking.
-pub fn try_db_match<S: SequenceScan + ?Sized>(
-    pattern: &Pattern,
-    db: &S,
-    matrix: &CompatibilityMatrix,
-) -> Result<f64, ScanError> {
     let mut total = 0.0;
     let mut visited = 0usize;
-    db.try_scan(&mut |_, seq| {
+    db.scan(&mut |_, seq| {
         total += sequence_match(pattern, seq, matrix);
         visited += 1;
-    })?;
-    Ok(if visited == 0 {
+    });
+    if visited == 0 {
         0.0
     } else {
         total / visited as f64
-    })
+    }
 }
 
-/// Computes the match of many patterns in one scan of the database — the
-/// building block of phase 3, where a memory-budgeted set of counters is
-/// evaluated per scan (§4.3). Returns values aligned with `patterns`.
-/// Equivalent to [`db_match_many_threads`] with `threads = 0` (all cores).
+/// [`try_db_match_many`] with all available cores, the default
+/// [`MatchKernel`] and no index, panicking if the scan fails.
 pub fn db_match_many<S: SequenceScan + ?Sized>(
     patterns: &[Pattern],
     db: &S,
     matrix: &CompatibilityMatrix,
 ) -> Vec<f64> {
-    db_match_many_threads(patterns, db, matrix, 0)
+    match try_db_match_many(patterns, db, matrix, 0, MatchKernel::default(), None) {
+        Ok(v) => v,
+        Err(e) => panic!("database scan failed: {e}"),
+    }
 }
 
-/// Fallible variant of [`db_match_many`]: surfaces scan failures from the
-/// store instead of panicking.
+/// Computes the match of many patterns in one scan of the database — the
+/// building block of phase 3, where a memory-budgeted set of counters is
+/// evaluated per scan (§4.3). Returns values aligned with `patterns`; a
+/// failed scan returns `Err` and no partial values.
+///
+/// - `threads` is the worker count (`0` = all available cores, or the
+///   calling thread alone when the batch × reported size is below
+///   [`PARALLEL_THRESHOLD`]). Blocks are the constant [`SCAN_BLOCK_SIZE`]
+///   and per-block partial sums reduce in block order, so results are
+///   bit-identical at every thread count.
+/// - `kernel` picks the match kernel. [`MatchKernel::Trie`] and
+///   [`MatchKernel::Simd`] load the batch into one [`CandidateTrie`] shared
+///   read-only by every worker, so each sequence window is walked once for
+///   the whole batch; every kernel's per-(pattern, sequence) value is
+///   bit-identical to [`sequence_match`], so the kernel never changes a
+///   result either.
+/// - `plan`, a [`SkipPlan`] from a positional symbol index (see
+///   [`crate::index`]), limits evaluation to the sequences it marks as
+///   candidates. Every skipped sequence's match against every pattern in
+///   the batch is exactly `0.0`, so omitting its `+0.0` leaves the sums
+///   unchanged, and skipped sequences still count toward the Definition
+///   3.7 denominator.
+///
+/// The average divides by the number of sequences the scan actually
+/// visited, which keeps values in `[0, 1]` even when the store
+/// under-reports [`SequenceScan::num_sequences`].
 pub fn try_db_match_many<S: SequenceScan + ?Sized>(
-    patterns: &[Pattern],
-    db: &S,
-    matrix: &CompatibilityMatrix,
-) -> Result<Vec<f64>, ScanError> {
-    try_db_match_many_threads(patterns, db, matrix, 0)
-}
-
-/// [`db_match_many`] with an explicit worker-thread count (`0` = all
-/// available cores).
-///
-/// The scan streams borrowed [`SequenceBlock`]s through the deterministic
-/// block pipeline of [`crate::parallel::scan_map_reduce`] — no per-sequence
-/// copies; a block moves to a worker and its buffer comes back for reuse.
-/// Block boundaries are the constant [`crate::parallel::SCAN_BLOCK_SIZE`]
-/// and per-block partial sums are reduced in block order, so results are
-/// bit-identical for every thread count (the thread count is purely an
-/// operational knob). The average divides by the number of sequences the
-/// scan actually visited, which keeps values in `[0, 1]` even when the
-/// store under-reports [`SequenceScan::num_sequences`].
-pub fn db_match_many_threads<S: SequenceScan + ?Sized>(
-    patterns: &[Pattern],
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    threads: usize,
-) -> Vec<f64> {
-    match try_db_match_many_threads(patterns, db, matrix, threads) {
-        Ok(v) => v,
-        Err(e) => panic!("database scan failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`db_match_many_threads`]: surfaces scan failures
-/// from the store instead of panicking. On `Err`, no partial results are
-/// returned — the probe batch must be rerun after the fault is handled.
-pub fn try_db_match_many_threads<S: SequenceScan + ?Sized>(
-    patterns: &[Pattern],
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    threads: usize,
-) -> Result<Vec<f64>, ScanError> {
-    try_db_match_many_kernel(patterns, db, matrix, threads, MatchKernel::default())
-}
-
-/// [`db_match_many_threads`] with an explicit [`MatchKernel`] choice. The
-/// two kernels are bit-identical; the knob exists for the reference oracle
-/// and ablation benchmarks.
-pub fn db_match_many_kernel<S: SequenceScan + ?Sized>(
-    patterns: &[Pattern],
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    threads: usize,
-    kernel: MatchKernel,
-) -> Vec<f64> {
-    match try_db_match_many_kernel(patterns, db, matrix, threads, kernel) {
-        Ok(v) => v,
-        Err(e) => panic!("database scan failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`db_match_many_kernel`] and the common
-/// implementation of every `db_match_many*` entry point.
-///
-/// With [`MatchKernel::Trie`] the candidate batch is loaded into one
-/// [`CandidateTrie`] (built once, shared read-only by all workers; each
-/// worker carries its own [`TrieScratch`]), so each sequence window is
-/// walked once for the whole batch instead of once per pattern. The
-/// per-block accumulation order is identical to the naive path's, and each
-/// per-(pattern, sequence) value is bit-identical to [`sequence_match`], so
-/// the determinism contract of [`db_match_many_threads`] — bit-identical
-/// results at every thread count — holds across both kernels too.
-pub fn try_db_match_many_kernel<S: SequenceScan + ?Sized>(
-    patterns: &[Pattern],
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    threads: usize,
-    kernel: MatchKernel,
-) -> Result<Vec<f64>, ScanError> {
-    try_db_match_many_kernel_indexed(patterns, db, matrix, threads, kernel, None)
-}
-
-/// [`try_db_match_many_kernel`] with an optional [`SkipPlan`] from a
-/// positional symbol index (see [`crate::index`]).
-///
-/// With a plan, only sequences the plan marks as candidates are evaluated;
-/// every skipped sequence's match against every pattern in the batch is
-/// provably exactly `0.0`, so omitting its `+0.0` from the per-block
-/// partial leaves the accumulated bits unchanged. Skipped sequences still
-/// count toward the Definition 3.7 denominator — the visited count comes
-/// from the scan pipeline's in-order `inspect` hook, which sees every
-/// block regardless of the plan. Output is therefore bit-identical to the
-/// unindexed path at every thread count (property-tested with the
-/// unindexed path as oracle in `tests/property_index.rs`).
-pub fn try_db_match_many_kernel_indexed<S: SequenceScan + ?Sized>(
     patterns: &[Pattern],
     db: &S,
     matrix: &CompatibilityMatrix,
@@ -453,122 +378,129 @@ pub fn try_db_match_many_kernel_indexed<S: SequenceScan + ?Sized>(
     kernel: MatchKernel,
     plan: Option<&SkipPlan>,
 ) -> Result<Vec<f64>, ScanError> {
-    use crate::parallel::{
-        resolve_threads, try_scan_map_reduce, PARALLEL_THRESHOLD, SCAN_BLOCK_SIZE,
-    };
-
-    let p = patterns.len();
-    let mut totals = vec![0.0f64; p];
-    if p == 0 {
-        return Ok(totals);
-    }
-    // With `threads = 0` (auto), skip spawning when the reported work is too
-    // small to pay for it; an explicit thread count is honored as given. The
-    // thread count never changes the result, so a stale report here can only
-    // cost performance, never correctness.
-    let threads = if threads == 0 && p.saturating_mul(db.num_sequences()) < PARALLEL_THRESHOLD {
-        1
-    } else {
-        resolve_threads(threads)
-    };
     let mut visited = 0usize;
-    let partials = match kernel {
-        MatchKernel::Naive => try_scan_map_reduce(
-            db,
-            SCAN_BLOCK_SIZE,
-            threads,
-            &mut |block| visited += block.len(),
-            &|| (),
-            &|_scratch, block_idx, block| {
-                let mut partial = vec![0.0f64; p];
-                let mut stats = BlockSkipStats::default();
-                for (i, (_, seq)) in block.iter().enumerate() {
-                    if !stats.visit(plan, block_idx * SCAN_BLOCK_SIZE + i) {
-                        continue;
-                    }
-                    let mut nonzero = false;
-                    for (t, pattern) in partial.iter_mut().zip(patterns) {
-                        let v = sequence_match(pattern, seq, matrix);
-                        nonzero |= v != 0.0;
-                        *t += v;
-                    }
-                    stats.contributed(nonzero);
-                }
-                stats.record();
-                partial
-            },
-        )?,
-        MatchKernel::Trie => {
-            let trie = CandidateTrie::new(patterns);
-            crate::obs::kernel_patterns_per_scan().set(p as f64);
-            try_scan_map_reduce(
-                db,
-                SCAN_BLOCK_SIZE,
-                threads,
-                &mut |block| visited += block.len(),
-                &|| trie.scratch(),
-                &|scratch: &mut TrieScratch, block_idx, block| {
-                    let mut partial = vec![0.0f64; p];
-                    let mut stats = BlockSkipStats::default();
-                    for (i, (_, seq)) in block.iter().enumerate() {
-                        if !stats.visit(plan, block_idx * SCAN_BLOCK_SIZE + i) {
-                            continue;
-                        }
-                        // The sum variant accumulates only the patterns this
-                        // sequence actually touched — bit-identical to the
-                        // dense loop above because `x += 0.0` never changes
-                        // the bits of a non-negative partial.
-                        let nonzero =
-                            trie.batch_sequence_match_sum(seq, matrix, scratch, &mut partial);
-                        stats.contributed(nonzero);
-                    }
-                    stats.record();
-                    partial
-                },
-            )?
-        }
-        MatchKernel::Simd => {
-            let trie = CandidateTrie::new(patterns);
-            crate::obs::kernel_patterns_per_scan().set(p as f64);
-            try_scan_map_reduce(
-                db,
-                SCAN_BLOCK_SIZE,
-                threads,
-                &mut |block| visited += block.len(),
-                &|| trie.simd_scratch(),
-                &|scratch: &mut SimdScratch, block_idx, block| {
-                    let mut partial = vec![0.0f64; p];
-                    let mut stats = BlockSkipStats::default();
-                    for (i, (_, seq)) in block.iter().enumerate() {
-                        if !stats.visit(plan, block_idx * SCAN_BLOCK_SIZE + i) {
-                            continue;
-                        }
-                        // Same accumulation as the trie branch.
-                        let nonzero = trie.batch_sequence_match_columnar_sum(
-                            seq,
-                            matrix,
-                            scratch,
-                            &mut partial,
-                        );
-                        stats.contributed(nonzero);
-                    }
-                    stats.record();
-                    partial
-                },
-            )?
-        }
-    };
-    for partial in &partials {
-        for (t, &v) in totals.iter_mut().zip(partial) {
-            *t += v;
-        }
-    }
+    let mut totals = try_sum_matches(
+        patterns,
+        db,
+        matrix,
+        threads,
+        kernel,
+        plan,
+        SCAN_BLOCK_SIZE,
+        &mut |block| {
+            visited += block.len();
+            crate::obs::parallel_scan_blocks().inc();
+            crate::obs::scan_sequences().add(block.len() as u64);
+        },
+    )?;
     if visited > 0 {
         for t in &mut totals {
             *t /= visited as f64;
         }
     }
     Ok(totals)
+}
+
+/// Sums each pattern's sequence match over every sequence of `db`, in
+/// blocks of `block_size` reduced in block order — the engine behind both
+/// the phase-3 probe scans ([`try_db_match_many`]) and the phase-2 sample
+/// match. `threads`, `kernel` and `plan` behave as in
+/// [`try_db_match_many`]; `inspect` sees each block in scan order before it
+/// is evaluated. An empty batch returns at once without scanning.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn try_sum_matches<S: SequenceScan + ?Sized>(
+    patterns: &[Pattern],
+    db: &S,
+    matrix: &CompatibilityMatrix,
+    threads: usize,
+    kernel: MatchKernel,
+    plan: Option<&SkipPlan>,
+    block_size: usize,
+    inspect: &mut dyn FnMut(&SequenceBlock),
+) -> Result<Vec<f64>, ScanError> {
+    let p = patterns.len();
+    let mut totals = vec![0.0f64; p];
+    if p == 0 {
+        return Ok(totals);
+    }
+    // With `threads = 0` (auto), skip spawning when the reported work is too
+    // small to pay for it; an explicit thread count is honored as given.
+    let threads = if threads == 0 && p.saturating_mul(db.num_sequences()) < PARALLEL_THRESHOLD {
+        1
+    } else {
+        resolve_threads(threads)
+    };
+    let trie = (kernel != MatchKernel::Naive).then(|| {
+        crate::obs::kernel_patterns_per_scan().set(p as f64);
+        CandidateTrie::new(patterns)
+    });
+    let partials = try_scan_map_reduce(
+        db,
+        block_size,
+        threads,
+        inspect,
+        &|| Evaluator::new(kernel, patterns, trie.as_ref()),
+        &|eval: &mut Evaluator, block_idx, block| {
+            let mut partial = vec![0.0f64; p];
+            let mut stats = BlockSkipStats::default();
+            for (i, (_, seq)) in block.iter().enumerate() {
+                if stats.visit(plan, block_idx * block_size + i) {
+                    stats.contributed(eval.add(seq, matrix, &mut partial));
+                }
+            }
+            stats.record();
+            partial
+        },
+    )?;
+    for partial in &partials {
+        for (t, &v) in totals.iter_mut().zip(partial) {
+            *t += v;
+        }
+    }
+    Ok(totals)
+}
+
+/// One worker's match evaluator. The [`MatchKernel`] branch is picked once,
+/// when the worker starts: the naive per-pattern loop, or the shared
+/// [`CandidateTrie`] with this worker's private trie or columnar scratch.
+enum Evaluator<'a> {
+    Naive(&'a [Pattern]),
+    Trie(&'a CandidateTrie, TrieScratch),
+    Simd(&'a CandidateTrie, SimdScratch),
+}
+
+impl<'a> Evaluator<'a> {
+    fn new(kernel: MatchKernel, patterns: &'a [Pattern], trie: Option<&'a CandidateTrie>) -> Self {
+        match (kernel, trie) {
+            (MatchKernel::Trie, Some(trie)) => Self::Trie(trie, trie.scratch()),
+            (MatchKernel::Simd, Some(trie)) => Self::Simd(trie, trie.simd_scratch()),
+            _ => Self::Naive(patterns),
+        }
+    }
+
+    /// Adds each pattern's match in `seq` into `partial`; returns whether
+    /// any was non-zero. The trie kernels add only the patterns the
+    /// sequence matched — `x += 0.0` never changes the bits of a
+    /// non-negative partial, so every kernel accumulates the same bits.
+    fn add(&mut self, seq: &[Symbol], matrix: &CompatibilityMatrix, partial: &mut [f64]) -> bool {
+        match self {
+            Self::Naive(patterns) => {
+                let mut nonzero = false;
+                for (t, pattern) in partial.iter_mut().zip(*patterns) {
+                    let v = sequence_match(pattern, seq, matrix);
+                    nonzero |= v != 0.0;
+                    *t += v;
+                }
+                nonzero
+            }
+            Self::Trie(trie, scratch) => {
+                trie.batch_sequence_match_sum(seq, matrix, scratch, partial)
+            }
+            Self::Simd(trie, scratch) => {
+                trie.batch_sequence_match_columnar_sum(seq, matrix, scratch, partial)
+            }
+        }
+    }
 }
 
 /// Per-block skip accounting for the indexed scan path: candidates
@@ -644,29 +576,17 @@ pub fn sequence_support(pattern: &Pattern, sequence: &[Symbol]) -> f64 {
 /// an exact occurrence. Averaged over the sequences actually visited, like
 /// [`db_match`].
 pub fn db_support<S: SequenceScan + ?Sized>(pattern: &Pattern, db: &S) -> f64 {
-    match try_db_support(pattern, db) {
-        Ok(v) => v,
-        Err(e) => panic!("database scan failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`db_support`]: surfaces scan failures from the
-/// store instead of panicking.
-pub fn try_db_support<S: SequenceScan + ?Sized>(
-    pattern: &Pattern,
-    db: &S,
-) -> Result<f64, ScanError> {
     let mut total = 0.0;
     let mut visited = 0usize;
-    db.try_scan(&mut |_, seq| {
+    db.scan(&mut |_, seq| {
         total += sequence_support(pattern, seq);
         visited += 1;
-    })?;
-    Ok(if visited == 0 {
+    });
+    if visited == 0 {
         0.0
     } else {
         total / visited as f64
-    })
+    }
 }
 
 /// A significance metric on `(pattern, sequence)` pairs, averaged over the
@@ -861,35 +781,23 @@ impl SymbolMatchScratch {
 /// of Algorithm 4.1 (sampling is layered on top by the miner). One scan,
 /// averaged over the sequences actually visited, like [`db_match`].
 pub fn symbol_db_match<S: SequenceScan + ?Sized>(db: &S, matrix: &CompatibilityMatrix) -> Vec<f64> {
-    match try_symbol_db_match(db, matrix) {
-        Ok(v) => v,
-        Err(e) => panic!("database scan failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`symbol_db_match`]: surfaces scan failures from the
-/// store instead of panicking.
-pub fn try_symbol_db_match<S: SequenceScan + ?Sized>(
-    db: &S,
-    matrix: &CompatibilityMatrix,
-) -> Result<Vec<f64>, ScanError> {
     let m = matrix.len();
     let mut match_acc = vec![0.0f64; m];
     let mut scratch = SymbolMatchScratch::new(m);
     let mut visited = 0usize;
-    db.try_scan(&mut |_, seq| {
+    db.scan(&mut |_, seq| {
         let per_seq = scratch.sequence(seq, matrix);
         for (acc, &v) in match_acc.iter_mut().zip(per_seq) {
             *acc += v;
         }
         visited += 1;
-    })?;
+    });
     if visited > 0 {
         for v in &mut match_acc {
             *v /= visited as f64;
         }
     }
-    Ok(match_acc)
+    match_acc
 }
 
 #[cfg(test)]
@@ -1207,7 +1115,7 @@ mod tests {
     }
 
     #[test]
-    fn db_match_many_threads_is_bit_identical_across_thread_counts() {
+    fn db_match_many_is_bit_identical_across_thread_counts() {
         let db = MemorySequences(
             (0..700u16)
                 .map(|i| (0..12).map(|j| Symbol((i + j) % 5)).collect())
@@ -1215,13 +1123,12 @@ mod tests {
         );
         let c = fig2();
         let patterns = vec![p("d1 d2"), p("d2 d1"), p("d3 d4"), p("d2 * d1")];
-        let serial = db_match_many_threads(&patterns, &db, &c, 1);
+        let run = |threads| {
+            try_db_match_many(&patterns, &db, &c, threads, MatchKernel::default(), None).unwrap()
+        };
+        let serial = run(1);
         for threads in [2, 3, 8] {
-            assert_eq!(
-                serial,
-                db_match_many_threads(&patterns, &db, &c, threads),
-                "threads = {threads}"
-            );
+            assert_eq!(serial, run(threads), "threads = {threads}");
         }
     }
 

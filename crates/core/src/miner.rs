@@ -15,7 +15,8 @@
 //!
 //! With the [`noisemine_obs`] registry enabled (`--metrics-out` in the
 //! CLI), each phase is timed into the
-//! `core_phase{1,2,3}_seconds` histograms. Instrumentation is
+//! `core_phase{1,2,3}_seconds` histograms, and each phase-2 level into
+//! `core_phase2_{generate,evaluate,label}_seconds`. Instrumentation is
 //! observe-only: enabling it never changes sampling, classification, or
 //! the mined pattern set, and with no sink attached every record site
 //! reduces to one relaxed atomic load. `docs/OBSERVABILITY.md` maps each
@@ -305,23 +306,11 @@ impl SequentialSampler {
 /// Runs phase 1 (Algorithm 4.1): one scan computing every symbol's match
 /// and drawing a uniform sample of up to `sample_size` sequences using
 /// sequential sampling (choose the `i`-th sequence with probability
-/// `(n − j) / (N − i)` given `j` already chosen). Equivalent to
-/// [`phase1_threads`] with `threads = 0` (all cores).
-pub fn phase1<S: SequenceScan + ?Sized>(
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    sample_size: usize,
-    rng: &mut impl Rng,
-) -> Phase1Output {
-    phase1_threads(db, matrix, sample_size, rng, 0)
-}
-
-/// [`phase1`] with an explicit worker-thread count (`0` = all available
-/// cores).
+/// `(n − j) / (N − i)` given `j` already chosen), with `threads` workers
+/// (`0` = all available cores).
 ///
 /// The scan streams blocks of [`SCAN_BLOCK_SIZE`] sequences through
-/// [`scan_map_reduce`](crate::parallel::scan_map_reduce): per-symbol
-/// matches accumulate on worker threads
+/// [`try_scan_map_reduce`]: per-symbol matches accumulate on worker threads
 /// (one [`SymbolMatchScratch`] per worker) into per-block partial sums that
 /// are reduced in block order, while sequential sampling runs on the
 /// in-order block stream *before* the fan-out — so both the symbol matches
@@ -330,21 +319,8 @@ pub fn phase1<S: SequenceScan + ?Sized>(
 /// reported count, and the sampler falls back to reservoir replacement past
 /// the reported count, so a database appended to mid-scan yields a
 /// full-quota sample and in-range match values instead of a panic.
-pub fn phase1_threads<S: SequenceScan + ?Sized>(
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    sample_size: usize,
-    rng: &mut impl Rng,
-    threads: usize,
-) -> Phase1Output {
-    match try_phase1_threads(db, matrix, sample_size, rng, threads) {
-        Ok(out) => out,
-        Err(e) => panic!("database scan failed: {e}"),
-    }
-}
-
-/// Fallible variant of [`phase1_threads`]: surfaces scan failures from the
-/// store instead of panicking. On `Err` no partial phase-1 output escapes —
+///
+/// A failed scan surfaces as `Err` and no partial phase-1 output escapes —
 /// both the sample and the symbol matches are discarded, since a partial
 /// scan would bias them.
 pub fn try_phase1_threads<S: SequenceScan + ?Sized>(
@@ -383,6 +359,8 @@ pub fn try_phase1_threads_indexed<S: SequenceScan + ?Sized>(
         SCAN_BLOCK_SIZE,
         threads,
         &mut |block| {
+            crate::obs::parallel_scan_blocks().inc();
+            crate::obs::scan_sequences().add(block.len() as u64);
             for (_, seq) in block.iter() {
                 sampler.offer(seq, rng);
                 if let Some(b) = builder.as_mut() {
@@ -469,7 +447,7 @@ pub fn mine_indexed<S: SequenceScan + ?Sized>(
     span.finish();
 
     let index = supplied.or(built.as_ref());
-    let mut outcome = mine_from_phase1_with_known_indexed(db, matrix, config, &p1, &[], index)?.0;
+    let mut outcome = mine_from_phase1(db, matrix, config, &p1, &[], index)?.0;
     outcome.stats.db_scans += 1;
     outcome.stats.phase1_time = phase1_time;
     Ok(outcome)
@@ -482,40 +460,17 @@ pub fn mine_indexed<S: SequenceScan + ?Sized>(
 /// `noisemine-stream`) calls this to re-mine without touching phase 1.
 /// `stats.db_scans` counts only phase-3 scans and `stats.phase1_time` stays
 /// zero; [`mine`] adds its own phase-1 contribution on top.
-pub fn mine_from_phase1<S: SequenceScan + ?Sized>(
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    config: &MinerConfig,
-    p1: &Phase1Output,
-) -> Result<MineOutcome> {
-    Ok(mine_from_phase1_with_known(db, matrix, config, p1, &[])?.0)
-}
-
-/// [`mine_from_phase1`] with pre-verified exact matches for phase 3.
 ///
 /// `known` pairs patterns with their *exact database match*, maintained
-/// online by the caller; phase 3 applies them through
-/// [`collapse_with_known`](crate::border_collapse::collapse_with_known) so
-/// previously verified patterns collapse their
-/// region of the ambiguous space with zero scans. Also returns the raw
-/// phase-3 [`CollapseResult`] so an incremental caller can adopt the
+/// online by the caller; phase 3 applies them first (see
+/// [`try_collapse_with_known_kernel_indexed`]), so previously verified
+/// patterns collapse their region of the ambiguous space with zero scans.
+/// `index` is an optional [`SymbolIndex`] over `db` for the phase-3 probe
+/// scans (see [`crate::index`]); it is purely operational. Also returns the
+/// raw phase-3 [`CollapseResult`] so an incremental caller can adopt the
 /// probed FQT/INFQT border patterns (with their exact matches) as its next
 /// tracked set.
-pub fn mine_from_phase1_with_known<S: SequenceScan + ?Sized>(
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    config: &MinerConfig,
-    p1: &Phase1Output,
-    known: &[(Pattern, f64)],
-) -> Result<(MineOutcome, CollapseResult)> {
-    mine_from_phase1_with_known_indexed(db, matrix, config, p1, known, None)
-}
-
-/// [`mine_from_phase1_with_known`] with an optional [`SymbolIndex`] over
-/// `db` for the phase-3 probe scans (see [`crate::index`]). The index is
-/// purely operational: verdicts and match values are bit-identical with
-/// and without it.
-pub fn mine_from_phase1_with_known_indexed<S: SequenceScan + ?Sized>(
+pub fn mine_from_phase1<S: SequenceScan + ?Sized>(
     db: &S,
     matrix: &CompatibilityMatrix,
     config: &MinerConfig,
@@ -664,7 +619,7 @@ mod tests {
         let database = db();
         let matrix = CompatibilityMatrix::paper_figure2();
         let mut rng = StdRng::seed_from_u64(1);
-        let out = phase1(&database, &matrix, 3, &mut rng);
+        let out = try_phase1_threads(&database, &matrix, 3, &mut rng, 0).unwrap();
         assert_eq!(out.sample.len(), 3);
         assert_eq!(out.symbol_match.len(), 5);
         // Every sampled sequence is from the database.
@@ -683,7 +638,7 @@ mod tests {
         let database = db();
         let matrix = CompatibilityMatrix::paper_figure2();
         let mut rng = StdRng::seed_from_u64(1);
-        let out = phase1(&database, &matrix, 100, &mut rng);
+        let out = try_phase1_threads(&database, &matrix, 100, &mut rng, 0).unwrap();
         assert_eq!(out.sample.len(), 6);
         // With the sample being the whole DB, sampling is order-preserving.
         assert_eq!(out.sample, database.0);
@@ -801,7 +756,7 @@ mod tests {
         };
         for requested in [1usize, 2, 4, 6, 10] {
             let mut rng = StdRng::seed_from_u64(9);
-            let out = phase1(&database, &matrix, requested, &mut rng);
+            let out = try_phase1_threads(&database, &matrix, requested, &mut rng, 0).unwrap();
             assert_eq!(
                 out.sample.len(),
                 requested.min(6),
@@ -817,7 +772,7 @@ mod tests {
         // Matches divide by the visited count, so they equal the honest
         // full-database values.
         let mut rng = StdRng::seed_from_u64(3);
-        let out = phase1(&database, &matrix, 3, &mut rng);
+        let out = try_phase1_threads(&database, &matrix, 3, &mut rng, 0).unwrap();
         let expect = crate::matching::symbol_db_match(&database.inner, &matrix);
         for (a, b) in out.symbol_match.iter().zip(&expect) {
             assert!((a - b).abs() < 1e-12);
@@ -856,10 +811,10 @@ mod tests {
         let matrix = CompatibilityMatrix::paper_figure2();
         let _ = a;
         let mut rng = StdRng::seed_from_u64(77);
-        let serial = phase1_threads(&database, &matrix, 40, &mut rng, 1);
+        let serial = try_phase1_threads(&database, &matrix, 40, &mut rng, 1).unwrap();
         for threads in [2, 3, 8] {
             let mut rng = StdRng::seed_from_u64(77);
-            let par = phase1_threads(&database, &matrix, 40, &mut rng, threads);
+            let par = try_phase1_threads(&database, &matrix, 40, &mut rng, threads).unwrap();
             assert_eq!(serial.symbol_match, par.symbol_match, "threads = {threads}");
             assert_eq!(serial.sample, par.sample, "threads = {threads}");
         }

@@ -53,6 +53,21 @@ duration_histogram!(
     "Wall-clock time of phase 2: Chernoff classification of the sample (Algorithm 4.2)"
 );
 duration_histogram!(
+    phase2_generate_seconds,
+    "core_phase2_generate_seconds",
+    "Phase-2 time generating the next level's candidates from one level's survivors (one observation per evaluated level)"
+);
+duration_histogram!(
+    phase2_evaluate_seconds,
+    "core_phase2_evaluate_seconds",
+    "Phase-2 time computing one level's sample matches (one observation per evaluated level)"
+);
+duration_histogram!(
+    phase2_label_seconds,
+    "core_phase2_label_seconds",
+    "Phase-2 time labelling one level by the Chernoff bound and recording its survivors (one observation per evaluated level)"
+);
+duration_histogram!(
     phase3_seconds,
     "core_phase3_seconds",
     "Wall-clock time of phase 3: border collapsing against the full database (Algorithms 4.3/4.4)"
@@ -118,7 +133,7 @@ counter!(
 counter!(
     collapse_known_applied,
     "core_collapse_known_applied_total",
-    "Pre-verified exact matches applied by collapse_with_known without any scan (incremental reuse)",
+    "Pre-verified exact matches applied by border collapsing without any scan (incremental reuse)",
     "patterns"
 );
 
@@ -206,23 +221,24 @@ counter!(
     "sequences"
 );
 
-// Deterministic scan map-reduce (phases 1 and 3 share it).
+// Deterministic scan map-reduce (phases 1, 2 and 3 share it; the two
+// counters count database scans only, phases 1 and 3).
 counter!(
     scan_sequences,
     "core_scan_sequences_total",
-    "Sequences streamed through the block-scan map-reduce (phase 1 + phase 3 scans)",
+    "Sequences streamed by database scans (phase 1 + phase 3; the phase-2 sample is not counted)",
     "sequences"
 );
 counter!(
     parallel_scan_blocks,
     "parallel_scan_blocks_total",
-    "Scan blocks dispatched to map-reduce workers (SCAN_BLOCK_SIZE sequences each)",
+    "Blocks of SCAN_BLOCK_SIZE sequences dispatched by database scans (phase 1 + phase 3)",
     "blocks"
 );
 gauge!(
     parallel_scan_workers,
     "parallel_scan_workers",
-    "Worker threads used by the most recent parallel block scan",
+    "Worker threads used by the most recent block scan (at most one per block)",
     "threads"
 );
 gauge!(

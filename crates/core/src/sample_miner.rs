@@ -16,7 +16,9 @@ use crate::candidates::{next_level, LevelTrace, PatternSpace};
 use crate::chernoff::{classify, epsilon, Label, SpreadMode};
 use crate::lattice::Border;
 use crate::match_kernel::MatchKernel;
+use crate::matching::{try_sum_matches, SequenceScan};
 use crate::matrix::CompatibilityMatrix;
+use crate::parallel::CHUNK_SIZE;
 use crate::pattern::Pattern;
 
 /// Default ceiling on the number of candidate patterns phase 2 may
@@ -63,59 +65,17 @@ impl SampleMineResult {
 ///   used for the restricted spread of Claim 4.2;
 /// - `min_match`: the user threshold; `delta`: Chernoff failure probability;
 /// - `spread_mode`: full (`R = 1`) or restricted spread;
-/// - `space`: bounds of the enumerated pattern space.
-pub fn mine_sample(
-    sample: &[Vec<Symbol>],
-    matrix: &CompatibilityMatrix,
-    symbol_match: &[f64],
-    min_match: f64,
-    delta: f64,
-    spread_mode: SpreadMode,
-    space: &PatternSpace,
-) -> SampleMineResult {
-    mine_sample_budgeted(
-        sample,
-        matrix,
-        symbol_match,
-        min_match,
-        delta,
-        spread_mode,
-        space,
-        DEFAULT_MAX_SAMPLE_PATTERNS,
-    )
-}
-
-/// [`mine_sample`] with an explicit candidate budget (see
-/// [`DEFAULT_MAX_SAMPLE_PATTERNS`] for why a budget exists).
-#[allow(clippy::too_many_arguments)]
-pub fn mine_sample_budgeted(
-    sample: &[Vec<Symbol>],
-    matrix: &CompatibilityMatrix,
-    symbol_match: &[f64],
-    min_match: f64,
-    delta: f64,
-    spread_mode: SpreadMode,
-    space: &PatternSpace,
-    max_patterns: usize,
-) -> SampleMineResult {
-    mine_sample_budgeted_kernel(
-        sample,
-        matrix,
-        symbol_match,
-        min_match,
-        delta,
-        spread_mode,
-        space,
-        max_patterns,
-        MatchKernel::default(),
-    )
-}
-
-/// [`mine_sample_budgeted`] with an explicit [`MatchKernel`] for the
-/// level-wise candidate evaluation. The kernels produce identical values
-/// (see [`crate::match_kernel`]; the columnar simd kernel is held to the
-/// trie within a zero-ULP contract); the knob selects the reference oracle
-/// for equivalence testing and ablation.
+/// - `space`: bounds of the enumerated pattern space;
+/// - `max_patterns`: the candidate budget (see
+///   [`DEFAULT_MAX_SAMPLE_PATTERNS`] for why a budget exists);
+/// - `kernel`: the [`MatchKernel`] that evaluates each level's candidates.
+///   The kernels produce identical values (see [`crate::match_kernel`]), so
+///   the knob never changes the classification.
+///
+/// Each evaluated level is timed in three parts, one observation each: its
+/// sample match (`core_phase2_evaluate_seconds`), its labelling
+/// (`core_phase2_label_seconds`), and the generation of the next level's
+/// candidates from its survivors (`core_phase2_generate_seconds`).
 #[allow(clippy::too_many_arguments)]
 pub fn mine_sample_budgeted_kernel(
     sample: &[Vec<Symbol>],
@@ -131,144 +91,156 @@ pub fn mine_sample_budgeted_kernel(
     let n = sample.len().max(1);
     let m = matrix.len();
     let mut result = SampleMineResult::default();
-
-    // Level 1: every symbol is a candidate.
-    let level1: Vec<Pattern> = (0..m).map(|i| Pattern::single(Symbol(i as u16))).collect();
     let mut alive: HashSet<Pattern> = HashSet::new();
-    let mut survivors: Vec<Pattern> = Vec::new();
     let mut surviving_symbols: Vec<Symbol> = Vec::new();
 
-    let values = sample_matches(&level1, sample, matrix, n, kernel);
-    let mut level_survivors = 0usize;
-    for (pattern, value) in level1.iter().zip(&values) {
-        let label = label_pattern(
-            pattern,
-            *value,
-            symbol_match,
-            min_match,
-            delta,
-            n,
-            spread_mode,
-        );
-        record(&mut result, pattern.clone(), *value, label);
-        if label != Label::Infrequent {
-            alive.insert(pattern.clone());
-            survivors.push(pattern.clone());
-            surviving_symbols.push(
-                pattern
-                    .symbols()
-                    .next()
-                    .expect("singleton pattern has one symbol"),
-            );
-            level_survivors += 1;
-        }
-    }
-    result.trace.record(level1.len(), level_survivors);
+    // Level 1: every symbol is a candidate.
+    let mut candidates: Vec<Pattern> = (0..m).map(|i| Pattern::single(Symbol(i as u16))).collect();
+    let mut evaluated = candidates.len();
+    loop {
+        let evaluate = crate::obs::phase2_evaluate_seconds().span();
+        let values = sample_matches(&candidates, sample, matrix, kernel, 0);
+        evaluate.finish();
 
-    // Fast divergence check: a surviving symbol whose Chernoff band
-    // swallows zero (`min_match − ε(R_d) ≤ 0`) can never have any of its
-    // pure combinations labeled infrequent — values only shrink with
-    // length, but the infrequent band is empty for those spreads. If the
-    // enumerable pattern count over such symbols already exceeds the
-    // budget, fail now instead of after millions of evaluations.
-    {
-        let diverging = survivors
-            .iter()
-            .filter(|p| {
-                let spread = spread_mode.spread(p, symbol_match);
-                min_match - epsilon(spread, n, delta) <= 0.0
-            })
-            .count();
-        if diverging >= 2 {
-            // Lower bound: contiguous patterns only, each level multiplies
-            // the frontier by `diverging` choices (gaps only add more).
-            let mut frontier = diverging as f64;
-            let mut total = frontier;
-            for _ in 1..space.max_len {
-                frontier *= diverging as f64;
-                total += frontier;
-                if total > max_patterns as f64 {
-                    result.truncated = true;
-                    return result;
-                }
+        let label_span = crate::obs::phase2_label_seconds().span();
+        let mut survivors = Vec::new();
+        for (pattern, &value) in candidates.iter().zip(&values) {
+            let spread = spread_mode.spread(pattern, symbol_match);
+            let eps = epsilon(spread, n, delta);
+            crate::obs::restricted_spread_min().set_min(spread);
+            crate::obs::chernoff_epsilon_max().set_max(eps);
+            let label = classify(value, min_match, eps);
+            record(&mut result, pattern.clone(), value, label);
+            if label != Label::Infrequent {
+                alive.insert(pattern.clone());
+                survivors.push(pattern.clone());
             }
         }
-    }
+        result.trace.record(candidates.len(), survivors.len());
+        label_span.finish();
 
-    // Levels 2..: generate, evaluate, classify.
-    let mut evaluated = level1.len();
-    while !survivors.is_empty() {
-        let candidates = next_level(&survivors, &alive, &surviving_symbols, space);
-        if candidates.is_empty() {
-            break;
-        }
-        evaluated += candidates.len();
-        if evaluated > max_patterns {
-            result.truncated = true;
-            break;
-        }
-        let values = sample_matches(&candidates, sample, matrix, n, kernel);
-        let mut next_survivors = Vec::new();
-        let mut survived = 0usize;
-        for (pattern, value) in candidates.iter().zip(&values) {
-            let label = label_pattern(
-                pattern,
-                *value,
+        // The next level's candidates; the span records when it drops, on
+        // every way out of this iteration.
+        let _generate = crate::obs::phase2_generate_seconds().span();
+        if result.trace.levels() == 1 {
+            surviving_symbols = survivors
+                .iter()
+                .map(|p| {
+                    p.symbols()
+                        .next()
+                        .expect("singleton pattern has one symbol")
+                })
+                .collect();
+            if diverges(
+                &survivors,
                 symbol_match,
                 min_match,
                 delta,
                 n,
                 spread_mode,
-            );
-            record(&mut result, pattern.clone(), *value, label);
-            if label != Label::Infrequent {
-                alive.insert(pattern.clone());
-                next_survivors.push(pattern.clone());
-                survived += 1;
+                space,
+                max_patterns,
+            ) {
+                result.truncated = true;
+                return result;
             }
         }
-        result.trace.record(candidates.len(), survived);
-        survivors = next_survivors;
+        if survivors.is_empty() {
+            return result;
+        }
+        candidates = next_level(&survivors, &alive, &surviving_symbols, space);
+        if candidates.is_empty() {
+            return result;
+        }
+        evaluated += candidates.len();
+        if evaluated > max_patterns {
+            result.truncated = true;
+            return result;
+        }
     }
-
-    result
 }
 
-/// Sample match of each pattern: the mean of its sequence match over the
-/// sample (footnote 7). Large candidate batches are evaluated across all
-/// available cores with a deterministic, chunk-ordered reduction (see
-/// [`crate::parallel`]); results are identical to the serial computation.
-fn sample_matches(
-    patterns: &[Pattern],
-    sample: &[Vec<Symbol>],
-    matrix: &CompatibilityMatrix,
-    n: usize,
-    kernel: MatchKernel,
-) -> Vec<f64> {
-    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-    let mut totals =
-        crate::parallel::sum_sequence_matches_kernel(patterns, sample, matrix, threads, kernel);
-    for t in &mut totals {
-        *t /= n as f64;
-    }
-    totals
-}
-
+/// Fast divergence check after level 1: a surviving symbol whose Chernoff
+/// band swallows zero (`min_match − ε(R_d) ≤ 0`) can never have any of its
+/// pure combinations labeled infrequent — values only shrink with length,
+/// but the infrequent band is empty for those spreads. Returns `true` when
+/// the enumerable pattern count over such symbols already exceeds the
+/// budget, so the run fails now instead of after millions of evaluations.
 #[allow(clippy::too_many_arguments)]
-fn label_pattern(
-    pattern: &Pattern,
-    sample_match: f64,
+fn diverges(
+    survivors: &[Pattern],
     symbol_match: &[f64],
     min_match: f64,
     delta: f64,
     n: usize,
     spread_mode: SpreadMode,
-) -> Label {
-    let spread = spread_mode.spread(pattern, symbol_match);
-    let eps = epsilon(spread, n, delta);
-    crate::obs::restricted_spread_min().set_min(spread);
-    crate::obs::chernoff_epsilon_max().set_max(eps);
-    classify(sample_match, min_match, eps)
+    space: &PatternSpace,
+    max_patterns: usize,
+) -> bool {
+    let diverging = survivors
+        .iter()
+        .filter(|p| min_match - epsilon(spread_mode.spread(p, symbol_match), n, delta) <= 0.0)
+        .count();
+    if diverging < 2 {
+        return false;
+    }
+    // Lower bound: contiguous patterns only, each level multiplies the
+    // frontier by `diverging` choices (gaps only add more).
+    let mut frontier = diverging as f64;
+    let mut total = frontier;
+    for _ in 1..space.max_len {
+        frontier *= diverging as f64;
+        total += frontier;
+        if total > max_patterns as f64 {
+            return true;
+        }
+    }
+    false
+}
+
+/// Sample match of each pattern: the mean of its sequence match over the
+/// sample (footnote 7). The sample is evaluated by the same block engine
+/// and match evaluator as the phase-3 probe scans, in blocks of
+/// [`CHUNK_SIZE`] reduced in block order, so the values are bit-identical
+/// at every `threads` (`0` = all available cores, or the calling thread
+/// alone for small batches).
+fn sample_matches(
+    patterns: &[Pattern],
+    sample: &[Vec<Symbol>],
+    matrix: &CompatibilityMatrix,
+    kernel: MatchKernel,
+    threads: usize,
+) -> Vec<f64> {
+    let n = sample.len().max(1) as f64;
+    let mut totals = try_sum_matches(
+        patterns,
+        &SampleView(sample),
+        matrix,
+        threads,
+        kernel,
+        None,
+        CHUNK_SIZE,
+        &mut |_| {},
+    )
+    .expect("an in-memory sample scan cannot fail");
+    for t in &mut totals {
+        *t /= n;
+    }
+    totals
+}
+
+/// The phase-1 sample, borrowed as a [`SequenceScan`] for the block engine.
+struct SampleView<'a>(&'a [Vec<Symbol>]);
+
+impl SequenceScan for SampleView<'_> {
+    fn num_sequences(&self) -> usize {
+        self.0.len()
+    }
+    fn scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) {
+        for (i, s) in self.0.iter().enumerate() {
+            visit(i as u64, s);
+        }
+    }
 }
 
 fn record(result: &mut SampleMineResult, pattern: Pattern, value: f64, label: Label) {
@@ -312,7 +284,7 @@ mod tests {
         let (sample, matrix) = sample_db();
         let symbol_match = [0.7, 0.8, 0.3875, 0.425, 0.075];
         let space = PatternSpace::contiguous(4);
-        let r = mine_sample(
+        let r = mine_sample_budgeted_kernel(
             &sample,
             &matrix,
             &symbol_match,
@@ -320,6 +292,8 @@ mod tests {
             0.01,
             SpreadMode::Restricted,
             &space,
+            DEFAULT_MAX_SAMPLE_PATTERNS,
+            MatchKernel::default(),
         );
         assert!(!r.labels.is_empty());
         // frequent + ambiguous sets are consistent with the label map.
@@ -344,7 +318,7 @@ mod tests {
         let db = MemorySequences(sample.clone());
         let symbol_match = crate::matching::symbol_db_match(&db, &matrix);
         let space = PatternSpace::contiguous(3);
-        let r = mine_sample(
+        let r = mine_sample_budgeted_kernel(
             &sample,
             &matrix,
             &symbol_match,
@@ -352,6 +326,8 @@ mod tests {
             0.001,
             SpreadMode::Restricted,
             &space,
+            DEFAULT_MAX_SAMPLE_PATTERNS,
+            MatchKernel::default(),
         );
         for (p, (v, _)) in &r.labels {
             let exact = db_match(p, &db, &matrix);
@@ -370,7 +346,7 @@ mod tests {
         let min_match = 0.2;
         let delta = 0.05;
         let space = PatternSpace::contiguous(3);
-        let r = mine_sample(
+        let r = mine_sample_budgeted_kernel(
             &sample,
             &matrix,
             &symbol_match,
@@ -378,6 +354,8 @@ mod tests {
             delta,
             SpreadMode::Restricted,
             &space,
+            DEFAULT_MAX_SAMPLE_PATTERNS,
+            MatchKernel::default(),
         );
         for (p, v) in &r.frequent {
             let spread = SpreadMode::Restricted.spread(p, &symbol_match);
@@ -396,7 +374,7 @@ mod tests {
         let (sample, matrix) = sample_db();
         let symbol_match = [0.7, 0.8, 0.3875, 0.425, 0.075];
         let space = PatternSpace::contiguous(3);
-        let full = mine_sample(
+        let full = mine_sample_budgeted_kernel(
             &sample,
             &matrix,
             &symbol_match,
@@ -404,8 +382,10 @@ mod tests {
             0.01,
             SpreadMode::Full,
             &space,
+            DEFAULT_MAX_SAMPLE_PATTERNS,
+            MatchKernel::default(),
         );
-        let restricted = mine_sample(
+        let restricted = mine_sample_budgeted_kernel(
             &sample,
             &matrix,
             &symbol_match,
@@ -413,6 +393,8 @@ mod tests {
             0.01,
             SpreadMode::Restricted,
             &space,
+            DEFAULT_MAX_SAMPLE_PATTERNS,
+            MatchKernel::default(),
         );
         assert!(restricted.ambiguous_count() <= full.ambiguous_count());
     }
@@ -426,7 +408,7 @@ mod tests {
         let (sample, matrix) = sample_db();
         let tiny: Vec<_> = sample.into_iter().take(2).collect();
         let symbol_match = [0.9; 5];
-        let r = mine_sample_budgeted(
+        let r = mine_sample_budgeted_kernel(
             &tiny,
             &matrix,
             &symbol_match,
@@ -435,6 +417,7 @@ mod tests {
             SpreadMode::Restricted,
             &PatternSpace::contiguous(64),
             100_000,
+            MatchKernel::default(),
         );
         assert!(r.truncated, "divergence guard did not trip");
         // Only level 1 was evaluated.
@@ -445,7 +428,7 @@ mod tests {
     fn empty_sample_yields_no_frequent_patterns() {
         let matrix = CompatibilityMatrix::paper_figure2();
         let symbol_match = [0.0; 5];
-        let r = mine_sample(
+        let r = mine_sample_budgeted_kernel(
             &[],
             &matrix,
             &symbol_match,
@@ -453,7 +436,86 @@ mod tests {
             0.01,
             SpreadMode::Full,
             &PatternSpace::contiguous(3),
+            DEFAULT_MAX_SAMPLE_PATTERNS,
+            MatchKernel::default(),
         );
         assert!(r.frequent.is_empty());
+    }
+
+    const KERNELS: [MatchKernel; 3] = [MatchKernel::Naive, MatchKernel::Trie, MatchKernel::Simd];
+
+    /// 500 sequences span eight [`CHUNK_SIZE`] blocks, so an explicit
+    /// thread count really fans the blocks out.
+    fn workload() -> (Vec<Pattern>, Vec<Vec<Symbol>>, CompatibilityMatrix) {
+        let patterns: Vec<Pattern> = (0..6u16)
+            .flat_map(|x| {
+                (0..6u16).map(move |y| Pattern::contiguous(&[Symbol(x), Symbol(y)]).unwrap())
+            })
+            .collect();
+        let sequences: Vec<Vec<Symbol>> = (0..500)
+            .map(|i| {
+                (0..40)
+                    .map(|j| Symbol(((i * 7 + j * 3) % 6) as u16))
+                    .collect()
+            })
+            .collect();
+        let matrix = CompatibilityMatrix::uniform_noise(6, 0.2).unwrap();
+        (patterns, sequences, matrix)
+    }
+
+    #[test]
+    fn sample_matches_are_bit_identical_across_threads_and_kernels() {
+        let (patterns, sequences, matrix) = workload();
+        let serial = sample_matches(&patterns, &sequences, &matrix, MatchKernel::Naive, 1);
+        for kernel in KERNELS {
+            for threads in [1, 2, 3, 8] {
+                let got = sample_matches(&patterns, &sequences, &matrix, kernel, threads);
+                assert_eq!(serial, got, "{} @ {threads} threads", kernel.name());
+            }
+        }
+    }
+
+    #[test]
+    fn sample_matches_agree_with_direct_computation() {
+        let (patterns, sequences, matrix) = workload();
+        for kernel in KERNELS {
+            let means = sample_matches(&patterns, &sequences, &matrix, kernel, 4);
+            for (p, &mean) in patterns.iter().zip(&means) {
+                let direct: f64 = sequences
+                    .iter()
+                    .map(|seq| crate::matching::sequence_match(p, seq, &matrix))
+                    .sum::<f64>()
+                    / sequences.len() as f64;
+                assert!((mean - direct).abs() < 1e-12, "{p} ({})", kernel.name());
+            }
+        }
+    }
+
+    #[test]
+    fn sample_matches_of_empty_inputs() {
+        let (patterns, sequences, matrix) = workload();
+        for kernel in KERNELS {
+            assert!(sample_matches(&[], &sequences, &matrix, kernel, 4).is_empty());
+            assert_eq!(
+                sample_matches(&patterns, &[], &matrix, kernel, 4),
+                vec![0.0; patterns.len()]
+            );
+        }
+    }
+
+    #[test]
+    fn small_sample_work_takes_the_serial_path() {
+        let (patterns, sequences, matrix) = workload();
+        let tiny = &sequences[..2];
+        for kernel in KERNELS {
+            // Auto threads on a batch far below the threshold: one worker,
+            // and the same bits as an explicit single thread.
+            let auto = sample_matches(&patterns[..2], tiny, &matrix, kernel, 0);
+            assert_eq!(auto.len(), 2);
+            assert_eq!(
+                auto,
+                sample_matches(&patterns[..2], tiny, &matrix, kernel, 1)
+            );
+        }
     }
 }

@@ -71,8 +71,8 @@ pub fn classify_with(
         None
     };
     let mut out = vec![0.0f64; p];
-    // Block-ordered reduction: identical to try_db_match_many_kernel's
-    // scan_map_reduce over SCAN_BLOCK_SIZE-sequence blocks.
+    // Block-ordered reduction: identical to try_db_match_many's block scan
+    // over SCAN_BLOCK_SIZE-sequence blocks.
     for block in sequences.chunks(SCAN_BLOCK_SIZE) {
         let mut partial = vec![0.0f64; p];
         for seq in block {

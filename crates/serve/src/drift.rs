@@ -56,7 +56,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use noisemine_core::miner::{mine_from_phase1_with_known, MinerConfig};
+use noisemine_core::miner::{mine_from_phase1, MinerConfig};
 use noisemine_core::{PatternModel, PatternSpace, Symbol};
 use noisemine_seqdb::MemoryDb;
 use noisemine_stream::StreamState;
@@ -390,12 +390,13 @@ fn supervised_remine(
                     Some(DriftFault::Stall(d)) => std::thread::sleep(d),
                     _ => {}
                 }
-                mine_from_phase1_with_known(
+                mine_from_phase1(
                     &db,
                     &mine_prep.matrix,
                     &mine_prep.config,
                     &mine_prep.p1,
                     &mine_prep.known,
+                    None,
                 )
             }));
             // The tick may have timed out and dropped the receiver —

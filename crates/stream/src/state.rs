@@ -17,20 +17,19 @@
 //! - **exact match sums for tracked patterns**: the FQT/INFQT border
 //!   patterns probed by the last phase 3. Keeping their exact matches
 //!   online means the next re-mine collapses their region of the ambiguous
-//!   space with *zero* database scans ([`collapse_with_known`]); only
-//!   patterns between the stale borders are re-probed.
+//!   space with *zero* database scans (the `known` matches of
+//!   [`mine_from_phase1`]); only patterns between the stale borders are
+//!   re-probed.
 //!
 //! A re-mine is triggered when the per-symbol match estimates drift by more
 //! than the Chernoff deviation `ε = sqrt(R²·ln(1/δ) / 2n)` since the last
 //! mine — the same bound phase 2 uses for classification, so a smaller
 //! movement provably cannot flip a confident label.
-//!
-//! [`collapse_with_known`]: noisemine_core::border_collapse::collapse_with_known
 
 use noisemine_core::border_collapse::CollapseResult;
 use noisemine_core::chernoff::epsilon;
 use noisemine_core::matching::{sequence_match, SequenceScan, SymbolMatchScratch};
-use noisemine_core::miner::{mine_from_phase1_with_known, MineOutcome, MinerConfig, Phase1Output};
+use noisemine_core::miner::{mine_from_phase1, MineOutcome, MinerConfig, Phase1Output};
 use noisemine_core::parallel::SCAN_BLOCK_SIZE;
 use noisemine_core::{Alphabet, CompatibilityMatrix, Pattern, PatternModel, Symbol};
 use rand::rngs::StdRng;
@@ -51,7 +50,7 @@ pub struct MineSnapshot {
 ///
 /// [`StreamState::prepare_mine`] snapshots the engine's phase-1 view,
 /// tracked exact matches, matrix, and configuration into one owned value,
-/// so the expensive mining step ([`mine_from_phase1_with_known`]) can run
+/// so the expensive mining step ([`mine_from_phase1`]) can run
 /// on another thread — panic-isolated and time-bounded — without borrowing
 /// the engine. On success the caller feeds the result back through
 /// [`StreamState::complete_mine`]; on failure (panic, timeout, error) the
@@ -343,13 +342,13 @@ impl StreamState {
     pub fn mine<S: SequenceScan + ?Sized>(&mut self, db: &S) -> Result<MineOutcome> {
         let prep = self.prepare_mine();
         let (outcome, p3) =
-            mine_from_phase1_with_known(db, &prep.matrix, &prep.config, &prep.p1, &prep.known)?;
+            mine_from_phase1(db, &prep.matrix, &prep.config, &prep.p1, &prep.known, None)?;
         self.complete_mine(&prep, &p3);
         Ok(outcome)
     }
 
     /// Snapshots everything a re-mine needs (see [`MinePrep`]). The caller
-    /// runs [`mine_from_phase1_with_known`] over the snapshot — possibly on
+    /// runs [`mine_from_phase1`] over the snapshot — possibly on
     /// another thread, under a panic guard and a deadline — and applies the
     /// result with [`Self::complete_mine`].
     pub fn prepare_mine(&self) -> MinePrep {

@@ -117,6 +117,29 @@ fn instrumentation_never_changes_output_and_counters_are_live() {
     // span per phase.
     assert_eq!(count, 1, "expected one instrumented phase-1 span");
     assert!(sum > 0.0);
+
+    // Phase 2 splits into generation, sample match and labelling: one
+    // observation of each per evaluated level, together inside the
+    // phase-2 span.
+    let levels = instrumented.stats.trace.levels() as u64;
+    assert!(levels >= 2, "the workload should evaluate several levels");
+    let (_, phase2) = snap
+        .histogram_totals("core_phase2_seconds")
+        .expect("phase-2 span recorded");
+    let mut parts = 0.0;
+    for name in [
+        "core_phase2_generate_seconds",
+        "core_phase2_evaluate_seconds",
+        "core_phase2_label_seconds",
+    ] {
+        let (count, sum) = snap.histogram_totals(name).expect("phase-2 part recorded");
+        assert_eq!(count, levels, "{name}: one observation per evaluated level");
+        parts += sum;
+    }
+    assert!(
+        parts <= phase2,
+        "phase-2 parts sum to {parts} s, more than the phase-2 span's {phase2} s"
+    );
     let seqs = snap
         .counter_value("core_scan_sequences_total")
         .expect("scan sequence counter registered");

@@ -17,7 +17,7 @@
 mod common;
 
 use common::{random_matrix, random_pattern, random_sequences, run_cases};
-use noisemine::core::matching::{sequence_match, try_db_match_many_kernel_indexed, SequenceScan};
+use noisemine::core::matching::{sequence_match, try_db_match_many, SequenceScan};
 use noisemine::core::miner::{mine, MinerConfig};
 use noisemine::core::{
     CompatibilityMatrix, IndexMode, MatchKernel, Pattern, PatternElem, SkipPlan, Symbol,
@@ -104,19 +104,11 @@ fn indexed_scan_is_bit_identical_to_full_scan() {
         let matrix = random_index_matrix(rng, M);
         let plan = SkipPlan::build(&index, &patterns, &matrix);
         let reference =
-            try_db_match_many_kernel_indexed(&patterns, &db, &matrix, 1, MatchKernel::Naive, None)
-                .unwrap();
+            try_db_match_many(&patterns, &db, &matrix, 1, MatchKernel::Naive, None).unwrap();
         for kernel in [MatchKernel::Naive, MatchKernel::Trie] {
             for threads in [1, 4] {
-                let got = try_db_match_many_kernel_indexed(
-                    &patterns,
-                    &db,
-                    &matrix,
-                    threads,
-                    kernel,
-                    Some(&plan),
-                )
-                .unwrap();
+                let got = try_db_match_many(&patterns, &db, &matrix, threads, kernel, Some(&plan))
+                    .unwrap();
                 assert_bit_identical(
                     &got,
                     &reference,

@@ -19,7 +19,7 @@ use noisemine::core::chernoff::restricted_spread;
 use noisemine::core::matching::{
     db_match, db_support, sequence_match, symbol_db_match, MemorySequences,
 };
-use noisemine::core::miner::{mine, phase1_threads, MinerConfig};
+use noisemine::core::miner::{mine, try_phase1_threads, MinerConfig};
 use noisemine::core::{CompatibilityMatrix, Pattern, PatternSpace, Symbol};
 use noisemine::seqdb::{sequential_sample, MemoryDb};
 use noisemine::stream::StreamState;
@@ -172,10 +172,11 @@ fn parallel_phase1_is_bit_identical_to_serial() {
         let sample_size = rng.gen_range(0..50usize);
         let seed = rng.gen::<u64>();
         let mut rng1 = StdRng::seed_from_u64(seed);
-        let serial = phase1_threads(&db, &matrix, sample_size, &mut rng1, 1);
+        let serial = try_phase1_threads(&db, &matrix, sample_size, &mut rng1, 1).unwrap();
         for threads in [2usize, 3, 8] {
             let mut rngt = StdRng::seed_from_u64(seed);
-            let parallel = phase1_threads(&db, &matrix, sample_size, &mut rngt, threads);
+            let parallel =
+                try_phase1_threads(&db, &matrix, sample_size, &mut rngt, threads).unwrap();
             assert_eq!(
                 serial.symbol_match, parallel.symbol_match,
                 "symbol matches diverged at {threads} threads"
@@ -208,7 +209,7 @@ fn stream_ingest_sums_equal_batch_phase1_bitwise() {
 
         let db = MemorySequences(seqs);
         let mut p1_rng = StdRng::seed_from_u64(config.seed);
-        let batch = phase1_threads(&db, &matrix, config.sample_size, &mut p1_rng, 1);
+        let batch = try_phase1_threads(&db, &matrix, config.sample_size, &mut p1_rng, 1).unwrap();
         assert_eq!(engine.symbol_match(), batch.symbol_match);
     });
 }

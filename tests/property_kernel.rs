@@ -23,11 +23,13 @@
 mod common;
 
 use common::{random_matrix, random_pattern, random_sequence, random_sequences, run_cases};
-use noisemine::core::matching::{db_match_many_kernel, sequence_match};
+use noisemine::core::matching::{sequence_match, symbol_db_match, try_db_match_many};
 use noisemine::core::matrix::DENSE_STORAGE_LIMIT;
-use noisemine::core::parallel::sum_sequence_matches_kernel;
+use noisemine::core::parallel::CHUNK_SIZE;
+use noisemine::core::sample_miner::mine_sample_budgeted_kernel;
 use noisemine::core::{
-    CandidateTrie, CompatibilityMatrix, MatchKernel, Pattern, PatternElem, PatternSpace, Symbol,
+    CandidateTrie, CompatibilityMatrix, MatchKernel, Pattern, PatternElem, PatternSpace,
+    SpreadMode, Symbol,
 };
 use noisemine::datagen::noise::{channel_to_compatibility, partner_channel};
 use noisemine::datagen::sparse_random_matrix;
@@ -161,7 +163,9 @@ fn empty_trie_is_a_no_op() {
         trie.batch_sequence_match(&seq, &matrix, &mut scratch, &mut []);
         let db = MemoryDb::from_sequences(vec![seq]);
         for kernel in [MatchKernel::Naive, MatchKernel::Trie] {
-            assert!(db_match_many_kernel(&[], &db, &matrix, 1, kernel).is_empty());
+            assert!(try_db_match_many(&[], &db, &matrix, 1, kernel, None)
+                .unwrap()
+                .is_empty());
         }
     });
 }
@@ -199,10 +203,12 @@ fn db_scans_are_bit_identical_across_kernels_and_threads() {
         let count = rng.gen_range(1..16usize);
         let patterns = random_batch(rng, M, count, 10);
         let matrix = random_kernel_matrix(rng, M);
-        let reference = db_match_many_kernel(&patterns, &db, &matrix, 1, MatchKernel::Naive);
+        let reference =
+            try_db_match_many(&patterns, &db, &matrix, 1, MatchKernel::Naive, None).unwrap();
         for kernel in [MatchKernel::Naive, MatchKernel::Trie] {
             for threads in [1, 4] {
-                let got = db_match_many_kernel(&patterns, &db, &matrix, threads, kernel);
+                let got =
+                    try_db_match_many(&patterns, &db, &matrix, threads, kernel, None).unwrap();
                 assert_bit_identical(
                     &got,
                     &reference,
@@ -246,9 +252,9 @@ fn window_pattern(
 /// One sparse-matrix case: a database of up to 600 sequences over `m`
 /// symbols, a batch of window patterns plus random ones with duplicates
 /// appended, then the trie against the per-pattern oracle sequence by
-/// sequence, and both scan paths (phase 3's `db_match_many_kernel`, phase
-/// 2's `sum_sequence_matches_kernel`) at one and four threads against the
-/// naive kernel.
+/// sequence, and phase 3's database scan (`try_db_match_many`) at one and
+/// four threads against the naive kernel; on small alphabets also phase 2's
+/// sample matches under every kernel against the definition.
 fn check_sparse_regime(rng: &mut StdRng, matrix: &CompatibilityMatrix, what: &str) {
     let m = matrix.len();
     let seqs = random_sequences(rng, m, 30, 300, 600);
@@ -277,17 +283,73 @@ fn check_sparse_regime(rng: &mut StdRng, matrix: &CompatibilityMatrix, what: &st
     }
 
     let db = MemoryDb::from_sequences(seqs.clone());
-    let reference = db_match_many_kernel(&patterns, &db, matrix, 1, MatchKernel::Naive);
+    let reference = try_db_match_many(&patterns, &db, matrix, 1, MatchKernel::Naive, None).unwrap();
     assert!(
         reference.iter().any(|&v| v > 0.0),
         "{what}: degenerate case, every pattern matches nothing"
     );
-    let summed = sum_sequence_matches_kernel(&patterns, &seqs, matrix, 1, MatchKernel::Naive);
     for threads in [1, 4] {
-        let got = db_match_many_kernel(&patterns, &db, matrix, threads, MatchKernel::Trie);
+        let got =
+            try_db_match_many(&patterns, &db, matrix, threads, MatchKernel::Trie, None).unwrap();
         assert_bit_identical(&got, &reference, &format!("{what}: db scan @ {threads}"));
-        let got = sum_sequence_matches_kernel(&patterns, &seqs, matrix, threads, MatchKernel::Trie);
-        assert_bit_identical(&got, &summed, &format!("{what}: sample sums @ {threads}"));
+    }
+    // Phase 2 evaluates every symbol at level 1, so the 1 000+-item
+    // regimes run this check on a few cases of their own.
+    if m <= 64 {
+        check_sample_matches(&seqs[..130], matrix, what);
+    }
+}
+
+/// Phase 2 on `sample`, under every kernel: each evaluated candidate's
+/// sample match carries exactly the bits of the definition (footnote 7)
+/// summed in the engine's [`CHUNK_SIZE`] blocks. The threshold sits at the
+/// sixth-best symbol so levels 2 and 3 stay small on a 1 000-item alphabet.
+/// Phase 2 takes every core, so this runs at the host's core count; the
+/// `sample_miner` unit tests pin 1, 2, 3 and 8 threads.
+fn check_sample_matches(sample: &[Vec<Symbol>], matrix: &CompatibilityMatrix, what: &str) {
+    let symbol_match = symbol_db_match(&MemoryDb::from_sequences(sample.to_vec()), matrix);
+    let mut ranked = symbol_match.clone();
+    ranked.sort_by(|a, b| b.total_cmp(a));
+    let min_match = ranked[5].max(1e-9);
+    let mut oracle: Option<Vec<(Pattern, f64)>> = None;
+    for kernel in [MatchKernel::Naive, MatchKernel::Trie, MatchKernel::Simd] {
+        let p2 = mine_sample_budgeted_kernel(
+            sample,
+            matrix,
+            &symbol_match,
+            min_match,
+            0.9,
+            SpreadMode::Restricted,
+            &PatternSpace::contiguous(3),
+            100_000,
+            kernel,
+        );
+        assert!(!p2.truncated, "{what}: phase 2 ran out of budget");
+        let oracle = oracle.get_or_insert_with(|| {
+            p2.labels
+                .keys()
+                .map(|pattern| {
+                    let mut total = 0.0f64;
+                    for chunk in sample.chunks(CHUNK_SIZE) {
+                        let mut partial = 0.0f64;
+                        for seq in chunk {
+                            partial += sequence_match(pattern, seq, matrix);
+                        }
+                        total += partial;
+                    }
+                    (pattern.clone(), total / sample.len() as f64)
+                })
+                .collect()
+        });
+        assert_eq!(p2.labels.len(), oracle.len(), "{what}: {}", kernel.name());
+        for (pattern, want) in oracle.iter() {
+            let got = p2.labels[pattern].0;
+            assert!(
+                got.to_bits() == want.to_bits(),
+                "{what}: {} sample match of {pattern}: {got:e} vs {want:e}",
+                kernel.name()
+            );
+        }
     }
 }
 
@@ -308,6 +370,10 @@ fn partner_channel_matches_the_oracle() {
 fn sparse_clickstream_matrix_matches_the_oracle() {
     let matrix = sparse_random_matrix(1000, 0.005, 0.85, 0xc11c);
     run_cases(12, |rng| check_sparse_regime(rng, &matrix, "clickstream"));
+    run_cases(2, |rng| {
+        let sample = random_sequences(rng, 1000, 30, 65, 100);
+        check_sample_matches(&sample, &matrix, "clickstream");
+    });
 }
 
 /// A score matrix with an empty column: the symbol it observes matches no
@@ -349,4 +415,8 @@ fn sparse_storage_matrix_matches_the_oracle() {
         "m > DENSE_STORAGE_LIMIT must use sparse storage"
     );
     run_cases(8, |rng| check_sparse_regime(rng, &matrix, "sparse storage"));
+    run_cases(2, |rng| {
+        let sample = random_sequences(rng, matrix.len(), 30, 65, 100);
+        check_sample_matches(&sample, &matrix, "sparse storage");
+    });
 }

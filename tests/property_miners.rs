@@ -12,11 +12,11 @@ use common::{random_matrix, run_cases};
 use noisemine::baselines::{
     mine_depth_first, mine_hierarchical, mine_levelwise, mine_maxminer, MaxMinerConfig,
 };
-use noisemine::core::border_collapse::{collapse, ProbeStrategy};
+use noisemine::core::border_collapse::{try_collapse_with_known_kernel_indexed, ProbeStrategy};
 use noisemine::core::lattice::AmbiguousSpace;
 use noisemine::core::matching::{db_match, MatchMetric};
 use noisemine::core::miner::{mine, MinerConfig};
-use noisemine::core::{Pattern, PatternSpace, Symbol};
+use noisemine::core::{MatchKernel, Pattern, PatternSpace, Symbol};
 use noisemine::seqdb::MemoryDb;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -161,14 +161,19 @@ fn collapse_is_exact_for_any_budget() {
         } else {
             ProbeStrategy::BorderCollapsing
         };
-        let result = collapse(
+        let result = try_collapse_with_known_kernel_indexed(
             AmbiguousSpace::new(patterns.clone()),
+            &[],
             &db,
             &matrix,
             min_match,
             budget,
             strategy,
-        );
+            0,
+            MatchKernel::default(),
+            None,
+        )
+        .unwrap();
         for p in &patterns {
             let exact = db_match(p, &db, &matrix);
             let frequent = result.frequent.iter().any(|r| &r.pattern == p);

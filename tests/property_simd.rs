@@ -23,7 +23,7 @@
 mod common;
 
 use common::{random_matrix, random_pattern, random_sequence, random_sequences, run_cases};
-use noisemine::core::matching::{db_match_many_kernel, sequence_match};
+use noisemine::core::matching::{sequence_match, try_db_match_many};
 use noisemine::core::{
     simd_active, CandidateTrie, CompatibilityMatrix, MatchKernel, Pattern, PatternElem,
     PatternSpace, Symbol, SIMD_MAX_ULP,
@@ -203,10 +203,12 @@ fn db_scans_with_simd_kernel_are_bit_identical_across_threads() {
         let count = rng.gen_range(1..16usize);
         let patterns = random_batch(rng, M, count, 10);
         let matrix = random_kernel_matrix(rng, M);
-        let reference = db_match_many_kernel(&patterns, &db, &matrix, 1, MatchKernel::Naive);
+        let reference =
+            try_db_match_many(&patterns, &db, &matrix, 1, MatchKernel::Naive, None).unwrap();
         for kernel in [MatchKernel::Trie, MatchKernel::Simd] {
             for threads in [1, 4] {
-                let got = db_match_many_kernel(&patterns, &db, &matrix, threads, kernel);
+                let got =
+                    try_db_match_many(&patterns, &db, &matrix, threads, kernel, None).unwrap();
                 assert_eq!(got.len(), reference.len());
                 for (i, (g, w)) in got.iter().zip(&reference).enumerate() {
                     assert!(
