@@ -128,7 +128,6 @@ pub fn toivonen_config(
         max_sample_patterns: noisemine_core::sample_miner::DEFAULT_MAX_SAMPLE_PATTERNS,
         threads: 0,
         match_kernel: noisemine_core::MatchKernel::default(),
-        index: noisemine_core::IndexMode::default(),
     }
 }
 

@@ -7,10 +7,10 @@ use noisemine_baselines::{
 };
 use noisemine_core::border_collapse::ProbeStrategy;
 use noisemine_core::matching::{db_match, db_support, MatchMetric, MemorySequences, SequenceScan};
-use noisemine_core::miner::{mine, mine_indexed, MinerConfig};
+use noisemine_core::miner::{mine, MinerConfig};
 use noisemine_core::{
-    matrix_io, Alphabet, CompatibilityMatrix, IndexMode, MatchKernel, Pattern, PatternModel,
-    PatternSpace, Symbol,
+    matrix_io, Alphabet, CompatibilityMatrix, MatchKernel, Pattern, PatternModel, PatternSpace,
+    Symbol,
 };
 use noisemine_datagen::learn_matrix;
 use noisemine_datagen::noise::{channel_to_compatibility, partner_channel};
@@ -254,10 +254,9 @@ pub fn cmd_match(opts: &Opts) -> CliResult<()> {
 
 /// `noisemine convert` — text ↔ binary sequence database conversion.
 pub fn cmd_convert(opts: &Opts) -> CliResult<()> {
-    opts.deny_unknown(&["db", "out", "matrix", "index"])?;
+    opts.deny_unknown(&["db", "out", "matrix"])?;
     let input = opts.required("db")?;
     let out = opts.required("out")?;
-    let index_mode = parse_index(opts)?;
     let to_binary = out.ends_with(".nmdb");
     if to_binary {
         // Binary files store symbol ids, so the encoding alphabet must
@@ -268,26 +267,13 @@ pub fn cmd_convert(opts: &Opts) -> CliResult<()> {
             None => (infer(input)?, "inferred"),
         };
         let sequences = text::read_sequences_file(input, &alphabet).map_err(|e| e.to_string())?;
-        let db = DiskDb::create_from(out, sequences.iter().map(Vec::as_slice))
-            .map_err(|e| e.to_string())?;
+        DiskDb::create_from(out, sequences.iter().map(Vec::as_slice)).map_err(|e| e.to_string())?;
         println!(
             "wrote {} sequences to binary database {out} (alphabet {how}: {} symbols; \
              note: binary files store ids, keep the alphabet alongside)",
             sequences.len(),
             alphabet.len(),
         );
-        if index_mode.enabled() {
-            let index = noisemine_seqdb::index::build_index(&db, alphabet.len())
-                .map_err(|e| e.to_string())?;
-            let side =
-                noisemine_seqdb::index::write_sidecar(&db, &index).map_err(|e| e.to_string())?;
-            println!(
-                "wrote symbol index sidecar {} ({} sequences, {} symbols)",
-                side.display(),
-                index.num_sequences(),
-                index.alphabet_size(),
-            );
-        }
     } else {
         return Err("convert currently writes binary .nmdb only; name the output *.nmdb".into());
     }
@@ -313,7 +299,6 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
         "seed",
         "threads",
         "kernel",
-        "index",
         "limit",
         "top",
         "format",
@@ -388,7 +373,6 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
                 seed: opts.num("seed", 2002u64)?,
                 threads: opts.num("threads", 0usize)?,
                 match_kernel: parse_kernel(opts)?,
-                index: parse_index(opts)?,
                 ..MinerConfig::default()
             };
             let outcome = mine(&db, &matrix, &config).map_err(|e| e.to_string())?;
@@ -523,45 +507,6 @@ fn mine_binary(opts: &Opts, sink: Option<&noisemine_obs::FileSink>) -> CliResult
     };
     let matrix = maybe_normalize(matrix, opts)?;
     let min_match = opts.num("min-match", 0.1f64)?;
-    let index_mode = parse_index(opts)?;
-    // `--index build` rebuilds the sidecar unconditionally; `--index use`
-    // loads it when it still matches the database (and quarantine view),
-    // rebuilding otherwise — a stale sidecar is never silently used.
-    let sidecar = match index_mode {
-        IndexMode::Off => None,
-        IndexMode::Build => {
-            let index = noisemine_seqdb::index::build_index(&db, alphabet.len())
-                .map_err(|e| format!("{path}: {e}"))?;
-            let side = noisemine_seqdb::index::write_sidecar(&db, &index)
-                .map_err(|e| format!("{path}: {e}"))?;
-            eprintln!(
-                "built symbol index over {} sequence(s); sidecar {}",
-                index.num_sequences(),
-                side.display(),
-            );
-            Some(index)
-        }
-        IndexMode::Use => {
-            let fresh = noisemine_seqdb::load_validated(&db)
-                .map_err(|e| format!("{path}: {e}"))?
-                .filter(|ix| ix.alphabet_size() >= alphabet.len());
-            let index = match fresh {
-                Some(index) => {
-                    eprintln!(
-                        "using symbol index sidecar ({} sequence(s))",
-                        index.num_sequences()
-                    );
-                    index
-                }
-                None => {
-                    eprintln!("symbol index sidecar missing or stale; rebuilding");
-                    noisemine_seqdb::ensure_index(&db, alphabet.len())
-                        .map_err(|e| format!("{path}: {e}"))?
-                }
-            };
-            Some(index)
-        }
-    };
     let config = MinerConfig {
         min_match,
         delta: opts.num("delta", 0.001f64)?,
@@ -577,11 +522,9 @@ fn mine_binary(opts: &Opts, sink: Option<&noisemine_obs::FileSink>) -> CliResult
         seed: opts.num("seed", 2002u64)?,
         threads: opts.num("threads", 0usize)?,
         match_kernel: parse_kernel(opts)?,
-        index: index_mode,
         ..MinerConfig::default()
     };
-    let outcome = mine_indexed(&db, &matrix, &config, sidecar.as_ref())
-        .map_err(|e| format!("{path}: {e}"))?;
+    let outcome = mine(&db, &matrix, &config).map_err(|e| format!("{path}: {e}"))?;
     eprintln!(
         "three-phase miner: {} db scans, {} sample-confident, {} verified, {} implied",
         outcome.stats.db_scans,
@@ -784,16 +727,6 @@ fn parse_kernel(opts: &Opts) -> CliResult<MatchKernel> {
     let name = opts.get_or("kernel", "trie");
     MatchKernel::parse(name)
         .ok_or_else(|| format!("unknown --kernel {name:?}; use trie, naive, or simd").into())
-}
-
-/// Parses `--index off|build|use` into an [`IndexMode`] (default: off).
-/// `build` constructs the positional symbol index (and, for binary
-/// databases, persists the `NMIDX` sidecar); `use` loads a previously
-/// written sidecar, rebuilding if it is stale. See docs/INDEXING.md.
-fn parse_index(opts: &Opts) -> CliResult<IndexMode> {
-    let name = opts.get_or("index", "off");
-    IndexMode::parse(name)
-        .ok_or_else(|| format!("unknown --index {name:?}; use off, build, or use").into())
 }
 
 /// Parses `--on-fault strict|retry[:N]|quarantine` into a [`FaultPolicy`]
@@ -1212,20 +1145,6 @@ mod tests {
         ));
         assert!(policy(&["--on-fault", "retry:x"]).is_err());
         assert!(policy(&["--on-fault", "panic"]).is_err());
-    }
-
-    #[test]
-    fn parse_index_variants() {
-        let mode = |args: &[&str]| {
-            let mut v = vec!["mine", "--db", "x.nmdb"];
-            v.extend_from_slice(args);
-            parse_index(&Opts::parse(v).unwrap())
-        };
-        assert_eq!(mode(&[]).unwrap(), IndexMode::Off);
-        assert_eq!(mode(&["--index", "off"]).unwrap(), IndexMode::Off);
-        assert_eq!(mode(&["--index", "build"]).unwrap(), IndexMode::Build);
-        assert_eq!(mode(&["--index", "use"]).unwrap(), IndexMode::Use);
-        assert!(mode(&["--index", "sidecar"]).is_err());
     }
 
     #[test]

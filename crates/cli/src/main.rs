@@ -8,13 +8,13 @@
 //! noisemine mine    --db db.txt|db.nmdb [--matrix m.txt] [--normalize] [--min-match 0.1]
 //!                   [--algorithm three-phase|levelwise|depth-first|max-miner] [--top k]
 //!                   [--max-gap 0] [--max-len 16] [--sample N] [--strategy border|levelwise]
-//!                   [--threads 0] [--kernel trie|naive|simd] [--index off|build|use]
+//!                   [--threads 0] [--kernel trie|naive|simd]
 //!                   [--metrics-out m.json]
 //!                   [--on-fault strict|retry[:N]|quarantine]   (.nmdb inputs)
 //! noisemine stream  --db db.txt [--matrix m.txt] [--checkpoint state.ckpt]
 //!                   [--chunk 1000] [--min-match 0.1] [--sample 1000] [--threads 0]
 //!                   [--kernel trie|naive|simd] [--metrics-out m.json]
-//! noisemine convert --db db.txt --out db.nmdb [--matrix m.txt] [--index build]
+//! noisemine convert --db db.txt --out db.nmdb [--matrix m.txt]
 //! noisemine serve   [--model [tenant=]model.nmmodel[,t2=m2.nmmodel]] [--catalog dir]
 //!                   [--catalog-interval 2] [--drift] [--drift-interval 1]
 //!                   [--drift-min-seqs 256] [--remine-timeout 30] [--remine-backoff 1]
@@ -45,7 +45,7 @@ USAGE:
                     [--max-gap 0] [--max-len 16] [--sample N] [--delta 0.001]
                     [--counters 100000] [--strategy border|levelwise]
                     [--seed 2002] [--threads 0] [--kernel trie|naive|simd]
-                    [--index off|build|use] [--limit 50] [--top k]
+                    [--limit 50] [--top k]
                     [--metrics-out m.json]
                     [--on-fault strict|retry[:N]|quarantine]
                     [--model-out model.nmmodel] [--model-version 1]
@@ -56,7 +56,7 @@ USAGE:
                     [--seed 2002] [--threads 0] [--kernel trie|naive|simd]
                     [--limit 50] [--metrics-out m.json]
   noisemine learn   --truth clean.txt --observed noisy.txt --out m.txt [--lambda 0.1]
-  noisemine convert --db db.txt --out db.nmdb [--matrix m.txt] [--index build]
+  noisemine convert --db db.txt --out db.nmdb [--matrix m.txt]
   noisemine serve   [--model [tenant=]model.nmmodel[,t2=m2.nmmodel]]
                     [--catalog dir] [--catalog-interval 2]
                     [--drift] [--drift-interval 1] [--drift-min-seqs 256]
@@ -76,21 +76,15 @@ the #noisemine-matrix dense/sparse text format. --normalize mines with the
 diagonal-normalized score matrix (match on the noise-free support scale).
 `stream` ingests incrementally, re-mines only when symbol-match estimates
 drift past the Chernoff bound, and persists engine state via --checkpoint so
-a later run over a grown file resumes from the tail. --threads sets the scan
-worker count for the three-phase miner (0 = auto); results are bit-identical
-at any thread count. --kernel picks the candidate evaluation kernel (trie =
+a later run over a grown file resumes from the tail. --threads sets the
+worker count of all three phases of the miner (0 = auto); results are
+bit-identical at any thread count. --kernel picks the candidate evaluation kernel (trie =
 batched candidate-trie, the default; naive = per-pattern reference; simd =
 columnar AVX2 kernel, 8 windows per step, with a portable scalar path on
 hosts without AVX2+FMA or under NOISEMINE_FORCE_SCALAR=1) — all kernels
 produce identical values (simd is held to the trie by a zero-ULP contract),
 so this only affects speed. `serve --kernel` applies the same choice to
-/classify scoring. --index enables the
-positional symbol index: phase-3 probe scans then skip sequences that
-provably match every probe at 0.0 (output stays bit-identical). For .nmdb
-databases, build writes an NMIDX sidecar next to the file and use loads it
-(rebuilding when stale); `convert --index build` writes the sidecar at
-conversion time — see docs/INDEXING.md.
---metrics-out enables the observability layer and writes
+/classify scoring. --metrics-out enables the observability layer and writes
 a metrics snapshot to the given path (JSON, or Prometheus text when the path
 ends in .prom/.txt); `stream` rewrites it after every chunk. Metrics never
 change mining output — see docs/OBSERVABILITY.md. `mine` also accepts a

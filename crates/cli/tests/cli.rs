@@ -202,6 +202,25 @@ fn convert_to_binary() {
 }
 
 #[test]
+fn index_option_is_gone_from_mine_and_convert() {
+    // Rejected before any file is read, so the paths need not exist.
+    for args in [
+        &["mine", "--db", "db.txt", "--index", "build"][..],
+        &[
+            "convert", "--db", "db.txt", "--out", "db.nmdb", "--index", "build",
+        ][..],
+    ] {
+        let out = noisemine(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr(&out).contains("unrecognized option --index"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+#[test]
 fn error_paths_exit_nonzero_with_usage() {
     // Unknown subcommand.
     let out = noisemine(&["frobnicate"]);

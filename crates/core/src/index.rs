@@ -1,5 +1,12 @@
 //! Positional symbol index for skip-scans.
 //!
+//! No production path builds an index: the miner, the CLI and the stream
+//! and serve engines always scan every sequence. The index stays as a
+//! library building block — [`crate::border_collapse::try_collapse_with_known_kernel_indexed`]
+//! and [`crate::matching::try_db_match_many`] accept one — so a caller
+//! that has an index can measure what it would skip. DESIGN.md's rejected
+//! optimizations record why the miner does not build one.
+//!
 //! Phase 1 and every phase-3 border probe stream the whole database, yet
 //! most sequences cannot contribute a non-zero match to a given pattern:
 //! [`crate::matching::sequence_match`] is *exactly* `0.0` whenever the
@@ -32,56 +39,9 @@
 //!
 //! [`SequenceScan::num_sequences`]: crate::matching::SequenceScan::num_sequences
 
-use serde::{Deserialize, Serialize};
-
 use crate::alphabet::Symbol;
 use crate::matrix::CompatibilityMatrix;
 use crate::pattern::Pattern;
-
-/// How the miner uses a positional symbol index (a purely operational
-/// knob, like [`crate::miner::MinerConfig::threads`] — output is
-/// bit-identical in every mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum IndexMode {
-    /// No index: every scan visits every sequence.
-    #[default]
-    Off,
-    /// Build a [`SymbolIndex`] during the phase-1 scan (which must visit
-    /// every sequence anyway for the sampler) and use it to skip
-    /// non-candidate sequences in the phase-3 border probes.
-    Build,
-    /// Use a pre-built index supplied by the caller (e.g. an `NMIDX`
-    /// sidecar loaded by the CLI). Inside the core miner this behaves
-    /// like [`IndexMode::Build`] when no index was supplied.
-    Use,
-}
-
-impl IndexMode {
-    /// Parses `"off"`, `"build"`, or `"use"` (as accepted by the CLI's
-    /// `--index` flag).
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "off" => Some(IndexMode::Off),
-            "build" => Some(IndexMode::Build),
-            "use" => Some(IndexMode::Use),
-            _ => None,
-        }
-    }
-
-    /// The canonical flag spelling of this mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            IndexMode::Off => "off",
-            IndexMode::Build => "build",
-            IndexMode::Use => "use",
-        }
-    }
-
-    /// `true` unless the mode is [`IndexMode::Off`].
-    pub fn enabled(self) -> bool {
-        !matches!(self, IndexMode::Off)
-    }
-}
 
 /// Incremental construction of a [`SymbolIndex`] from an in-order scan:
 /// feed each sequence as it streams by (ordinal = arrival order), then
@@ -132,15 +92,27 @@ impl SymbolIndexBuilder {
 
     /// Freezes the builder into a queryable index.
     pub fn finish(self) -> SymbolIndex {
-        SymbolIndex::from_parts(self.alphabet_size, self.lens, self.postings)
-            .expect("builder output is valid by construction")
+        let num_sequences = self.lens.len();
+        let words = num_sequences.div_ceil(64);
+        let mut present = vec![0u64; self.alphabet_size * words];
+        for (sym, row) in self.postings.iter().enumerate() {
+            for &ordinal in row {
+                present[sym * words + ordinal as usize / 64] |= 1u64 << (ordinal % 64);
+            }
+        }
+        SymbolIndex {
+            alphabet_size: self.alphabet_size,
+            num_sequences,
+            words,
+            lens: self.lens,
+            present,
+        }
     }
 }
 
 /// A positional symbol index: per observed symbol, a bitset over sequence
 /// ordinals recording which sequences contain that symbol, plus each
-/// sequence's length. Built in one pass (see [`SymbolIndexBuilder`]) or
-/// loaded from an `NMIDX` sidecar file by the seqdb crate.
+/// sequence's length. Built in one pass (see [`SymbolIndexBuilder`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymbolIndex {
     alphabet_size: usize,
@@ -156,82 +128,9 @@ pub struct SymbolIndex {
 }
 
 impl SymbolIndex {
-    /// Reassembles an index from its serialized parts: per-ordinal
-    /// sequence lengths and per-symbol ascending posting lists. Returns a
-    /// description of the first defect when the parts are inconsistent
-    /// (used by the `NMIDX` reader to reject corrupt files).
-    pub fn from_parts(
-        alphabet_size: usize,
-        lens: Vec<u32>,
-        postings: Vec<Vec<u32>>,
-    ) -> Result<Self, String> {
-        if postings.len() != alphabet_size {
-            return Err(format!(
-                "index has {} posting lists for an alphabet of {alphabet_size}",
-                postings.len()
-            ));
-        }
-        let num_sequences = lens.len();
-        let words = num_sequences.div_ceil(64);
-        let mut present = vec![0u64; alphabet_size * words];
-        for (sym, row) in postings.iter().enumerate() {
-            let mut prev: Option<u32> = None;
-            for &ordinal in row {
-                if (ordinal as usize) >= num_sequences {
-                    return Err(format!(
-                        "symbol {sym}: posting ordinal {ordinal} out of range \
-                         (index covers {num_sequences} sequences)"
-                    ));
-                }
-                if prev.is_some_and(|p| p >= ordinal) {
-                    return Err(format!("symbol {sym}: postings not strictly ascending"));
-                }
-                prev = Some(ordinal);
-                present[sym * words + ordinal as usize / 64] |= 1u64 << (ordinal % 64);
-            }
-        }
-        Ok(Self {
-            alphabet_size,
-            num_sequences,
-            words,
-            lens,
-            present,
-        })
-    }
-
-    /// The observed-alphabet size this index was built for.
-    pub fn alphabet_size(&self) -> usize {
-        self.alphabet_size
-    }
-
     /// Number of sequences the index covers.
     pub fn num_sequences(&self) -> usize {
         self.num_sequences
-    }
-
-    /// The recorded length of sequence `ordinal`, or `None` beyond
-    /// coverage.
-    pub fn len_of(&self, ordinal: usize) -> Option<u32> {
-        self.lens.get(ordinal).copied()
-    }
-
-    /// The ascending ordinals of sequences containing `sym` (empty for
-    /// symbols outside the alphabet). Reconstructed from the bitset; used
-    /// by the `NMIDX` writer.
-    pub fn postings_for(&self, sym: Symbol) -> Vec<u32> {
-        let Some(row) = self.presence_row(sym) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for (w, &word) in row.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                out.push((w * 64) as u32 + b);
-                bits &= bits - 1;
-            }
-        }
-        out
     }
 
     /// The presence bitset row of `sym`, or `None` outside the alphabet.
@@ -376,39 +275,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_postings_are_deduplicated_and_ascending() {
+    fn builder_records_presence_and_lengths() {
         let idx = build_index(&[syms(&[1, 1, 2]), syms(&[2]), syms(&[1, 2, 1])], 4);
         assert_eq!(idx.num_sequences(), 3);
-        assert_eq!(idx.postings_for(Symbol(1)), vec![0, 2]);
-        assert_eq!(idx.postings_for(Symbol(2)), vec![0, 1, 2]);
-        assert_eq!(idx.postings_for(Symbol(0)), Vec::<u32>::new());
-        assert_eq!(idx.postings_for(Symbol(9)), Vec::<u32>::new());
-        assert_eq!(idx.len_of(0), Some(3));
-        assert_eq!(idx.len_of(3), None);
-    }
-
-    #[test]
-    fn from_parts_rejects_defects() {
-        assert!(SymbolIndex::from_parts(2, vec![2], vec![vec![]]).is_err());
-        assert!(SymbolIndex::from_parts(2, vec![2], vec![vec![1], vec![]]).is_err());
-        assert!(SymbolIndex::from_parts(2, vec![2, 2], vec![vec![1, 1], vec![]]).is_err());
-        assert!(SymbolIndex::from_parts(2, vec![2, 2], vec![vec![1, 0], vec![]]).is_err());
-    }
-
-    #[test]
-    fn roundtrip_through_parts_is_identity() {
-        let idx = build_index(
-            &(0..130)
-                .map(|i| syms(&[i % 5, (i + 1) % 5]))
-                .collect::<Vec<_>>(),
-            5,
-        );
-        let lens: Vec<u32> = (0..idx.num_sequences())
-            .map(|o| idx.len_of(o).unwrap())
-            .collect();
-        let postings: Vec<Vec<u32>> = (0..5).map(|s| idx.postings_for(Symbol(s))).collect();
-        let back = SymbolIndex::from_parts(5, lens, postings).unwrap();
-        assert_eq!(back, idx);
+        assert_eq!(idx.presence_row(Symbol(1)), Some(&[0b101u64][..]));
+        assert_eq!(idx.presence_row(Symbol(2)), Some(&[0b111u64][..]));
+        assert_eq!(idx.presence_row(Symbol(0)), Some(&[0u64][..]));
+        assert_eq!(idx.presence_row(Symbol(9)), None);
+        assert_eq!(idx.lens, vec![3, 1, 3]);
     }
 
     #[test]
@@ -493,16 +367,5 @@ mod tests {
         let plan = SkipPlan::build(&idx, &[], &matrix);
         assert_eq!(plan.candidates(), 0);
         assert!(plan.is_candidate(0), "beyond coverage");
-    }
-
-    #[test]
-    fn index_mode_parses_and_round_trips() {
-        for mode in [IndexMode::Off, IndexMode::Build, IndexMode::Use] {
-            assert_eq!(IndexMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(IndexMode::parse("sidecar"), None);
-        assert!(!IndexMode::Off.enabled());
-        assert!(IndexMode::Build.enabled());
-        assert_eq!(IndexMode::default(), IndexMode::Off);
     }
 }

@@ -73,12 +73,12 @@ pub use border_collapse::{CollapseResult, ProbeStrategy};
 pub use candidates::PatternSpace;
 pub use chernoff::{Label, SpreadMode};
 pub use error::{Error, Result, ScanError, ScanErrorKind};
-pub use index::{IndexMode, SkipPlan, SymbolIndex, SymbolIndexBuilder};
+pub use index::{SkipPlan, SymbolIndex, SymbolIndexBuilder};
 pub use lattice::Border;
 pub use match_kernel::simd::{simd_active, SimdScratch, FORCE_SCALAR_ENV, SIMD_MAX_ULP};
 pub use match_kernel::{CandidateTrie, MatchKernel, TrieScratch};
 pub use matching::{MatchMetric, PatternMetric, SequenceScan, SupportMetric};
 pub use matrix::CompatibilityMatrix;
-pub use miner::{mine, mine_indexed, FrequentPattern, MineOutcome, MineStats, MinerConfig};
+pub use miner::{mine, FrequentPattern, MineOutcome, MineStats, MinerConfig};
 pub use model::{ModelPattern, PatternModel};
 pub use pattern::{Pattern, PatternElem};

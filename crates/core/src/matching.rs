@@ -32,14 +32,14 @@ use crate::parallel::{resolve_threads, try_scan_map_reduce, PARALLEL_THRESHOLD, 
 use crate::pattern::{Pattern, PatternElem};
 
 /// A batch of sequences in flat storage, the unit of work of the block
-/// scan API ([`SequenceScan::scan_blocks`]).
+/// scan API ([`SequenceScan::try_scan_blocks`]).
 ///
 /// All symbols live in one contiguous buffer with per-sequence end offsets,
 /// so a block can be recycled across scan iterations: once its vectors have
 /// grown to a block's worth of data, refilling it allocates nothing. Blocks
-/// are passed **by value** through the scan pipeline precisely so producers
-/// and consumers can hand buffers back and forth instead of copying
-/// sequences out.
+/// are passed **by value** so the scanning thread and the workers of
+/// [`crate::parallel::try_scan_map_reduce`] can hand buffers back and forth
+/// instead of copying sequences out.
 #[derive(Debug, Clone, Default)]
 pub struct SequenceBlock {
     ids: Vec<u64>,
@@ -98,8 +98,13 @@ impl SequenceBlock {
 /// This is the minimal contract the mining algorithms need; the
 /// `noisemine-seqdb` crate provides in-memory and disk-resident
 /// implementations with scan accounting. A "scan" in the paper's
-/// cost model corresponds to exactly one call of [`SequenceScan::scan`]
-/// (or, equivalently, one call of [`SequenceScan::scan_blocks`]).
+/// cost model corresponds to exactly one call of [`SequenceScan::scan`],
+/// [`SequenceScan::try_scan`] or [`SequenceScan::try_scan_blocks`].
+///
+/// A store implements `num_sequences` and `scan`, plus `try_scan` when it
+/// can fail. Block scans always come from the provided
+/// [`SequenceScan::try_scan_blocks`], which batches `try_scan`'s visits on
+/// the calling thread, so a store counts its scans in `try_scan` alone.
 pub trait SequenceScan {
     /// Number of sequences `N` in the database.
     ///
@@ -113,39 +118,6 @@ pub trait SequenceScan {
     /// sequence. Implementations that track I/O cost count one database scan
     /// per call.
     fn scan(&self, visit: &mut dyn FnMut(u64, &[Symbol]));
-
-    /// Visits every sequence in order, batched into [`SequenceBlock`]s of up
-    /// to `block_size` sequences (only the final block may be smaller).
-    ///
-    /// `sink` consumes each filled block and returns a block for the
-    /// implementation to reuse (its contents are cleared before refilling).
-    /// That ownership round-trip is what lets the caller ship blocks to
-    /// worker threads and lets pipelined implementations recycle buffers —
-    /// one physical scan can feed N compute workers without copying
-    /// sequences one by one.
-    ///
-    /// The visit order is exactly that of [`SequenceScan::scan`], and one
-    /// call counts as one database scan. The default implementation batches
-    /// on top of `scan`; `noisemine-seqdb`'s stores override it with a
-    /// read-ahead double-buffered producer thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_size` is zero.
-    fn scan_blocks(&self, block_size: usize, sink: &mut dyn FnMut(SequenceBlock) -> SequenceBlock) {
-        assert!(block_size >= 1, "block_size must be at least 1");
-        let mut block = SequenceBlock::new();
-        self.scan(&mut |id, seq| {
-            block.push(id, seq);
-            if block.len() >= block_size {
-                block = sink(std::mem::take(&mut block));
-                block.clear();
-            }
-        });
-        if !block.is_empty() {
-            sink(block);
-        }
-    }
 
     /// Fallible variant of [`SequenceScan::scan`]: visits every sequence in
     /// order and returns `Err` if the underlying store fails partway through
@@ -165,10 +137,18 @@ pub trait SequenceScan {
         Ok(())
     }
 
-    /// Fallible variant of [`SequenceScan::scan_blocks`], with the same
-    /// block-recycling contract. The default implementation batches on top
-    /// of [`SequenceScan::try_scan`], so a store that overrides only
-    /// `try_scan` gets fallible block scans for free.
+    /// Visits every sequence in [`SequenceScan::try_scan`] order, batched
+    /// into [`SequenceBlock`]s of up to `block_size` sequences (only the
+    /// final block may be smaller). One call is one `try_scan`, so it counts
+    /// as one database scan.
+    ///
+    /// `sink` consumes each filled block and returns a block to refill (its
+    /// contents are cleared first). That ownership round-trip lets the
+    /// caller ship blocks to worker threads and recycle their buffers
+    /// without copying sequences one by one.
+    ///
+    /// On `Err` the blocks filled before the failure have already been
+    /// handed to `sink`; the partial block at the failure is dropped.
     ///
     /// # Panics
     ///
@@ -201,18 +181,8 @@ impl<T: SequenceScan + ?Sized> SequenceScan for &T {
     fn scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) {
         (**self).scan(visit)
     }
-    fn scan_blocks(&self, block_size: usize, sink: &mut dyn FnMut(SequenceBlock) -> SequenceBlock) {
-        (**self).scan_blocks(block_size, sink)
-    }
     fn try_scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) -> Result<(), ScanError> {
         (**self).try_scan(visit)
-    }
-    fn try_scan_blocks(
-        &self,
-        block_size: usize,
-        sink: &mut dyn FnMut(SequenceBlock) -> SequenceBlock,
-    ) -> Result<(), ScanError> {
-        (**self).try_scan_blocks(block_size, sink)
     }
 }
 
@@ -804,6 +774,7 @@ pub fn symbol_db_match<S: SequenceScan + ?Sized>(db: &S, matrix: &CompatibilityM
 mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
+    use crate::error::ScanErrorKind;
 
     fn fig2() -> CompatibilityMatrix {
         CompatibilityMatrix::paper_figure2()
@@ -1050,34 +1021,85 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scan_blocks_default_impl_preserves_order_and_sizes() {
-        let db = MemorySequences((0..10u16).map(|i| vec![Symbol(i % 6); 3]).collect());
-        let mut ids = Vec::new();
+    /// A store whose scan fails after visiting its first `fail_after`
+    /// sequences, the way a disk scan stops at a damaged record.
+    struct FailingDb {
+        inner: MemorySequences,
+        fail_after: usize,
+    }
+
+    impl SequenceScan for FailingDb {
+        fn num_sequences(&self) -> usize {
+            self.inner.num_sequences()
+        }
+        fn scan(&self, _: &mut dyn FnMut(u64, &[Symbol])) {
+            unreachable!("only the fallible scan is exercised")
+        }
+        fn try_scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) -> Result<(), ScanError> {
+            for (i, s) in self.inner.0.iter().take(self.fail_after).enumerate() {
+                visit(i as u64, s);
+            }
+            Err(ScanError::new(ScanErrorKind::Io, "disk on fire"))
+        }
+    }
+
+    /// Block sizes and ids a `try_scan_blocks` pass hands to its sink.
+    fn blocks_of(
+        db: &dyn SequenceScan,
+        block_size: usize,
+    ) -> (Vec<usize>, Vec<u64>, Result<(), ScanError>) {
         let mut sizes = Vec::new();
-        db.scan_blocks(4, &mut |block| {
+        let mut ids = Vec::new();
+        let result = db.try_scan_blocks(block_size, &mut |block| {
             sizes.push(block.len());
             for (id, seq) in block.iter() {
                 ids.push(id);
-                assert_eq!(seq.len(), 3);
                 assert_eq!(seq[0], Symbol((id % 6) as u16));
             }
             block
         });
+        (sizes, ids, result)
+    }
+
+    #[test]
+    fn scan_blocks_default_impl_preserves_order_and_sizes() {
+        let seqs = |n: u16| MemorySequences((0..n).map(|i| vec![Symbol(i % 6); 3]).collect());
+        // Full blocks plus a short tail block.
+        let (sizes, ids, result) = blocks_of(&seqs(10), 4);
+        result.unwrap();
         assert_eq!(sizes, vec![4, 4, 2]);
         assert_eq!(ids, (0..10u64).collect::<Vec<_>>());
+        // A tail of one sequence, and no blocks at all for an empty store.
+        let (sizes, _, result) = blocks_of(&seqs(7), 3);
+        result.unwrap();
+        assert_eq!(sizes, vec![3, 3, 1]);
+        let (sizes, _, result) = blocks_of(&seqs(0), 8);
+        result.unwrap();
+        assert!(sizes.is_empty());
+        // A fault after two full blocks: both reach the sink before the
+        // `Err`, and the partial block at the fault is dropped.
+        let failing = FailingDb {
+            inner: seqs(10),
+            fail_after: 5,
+        };
+        let (sizes, ids, result) = blocks_of(&failing, 2);
+        let err = result.unwrap_err();
+        assert_eq!(err.message(), "disk on fire");
+        assert_eq!(sizes, vec![2, 2]);
+        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn scan_blocks_recycles_returned_blocks() {
         let db = MemorySequences((0..9u16).map(|i| vec![Symbol(i % 6)]).collect());
         let mut seen = 0usize;
-        db.scan_blocks(2, &mut |block| {
+        db.try_scan_blocks(2, &mut |block| {
             seen += block.len();
             // Hand back the same (uncleaned) block: the scan must clear it
             // before refilling, so no sequence is ever observed twice.
             block
-        });
+        })
+        .unwrap();
         assert_eq!(seen, 9);
     }
 

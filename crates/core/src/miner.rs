@@ -35,14 +35,13 @@ use crate::border_collapse::{
 use crate::candidates::{LevelTrace, PatternSpace};
 use crate::chernoff::SpreadMode;
 use crate::error::{Error, Result, ScanError};
-use crate::index::{IndexMode, SymbolIndex, SymbolIndexBuilder};
 use crate::lattice::{AmbiguousSpace, Border};
 use crate::match_kernel::MatchKernel;
 use crate::matching::{SequenceBlock, SequenceScan, SymbolMatchScratch};
 use crate::matrix::CompatibilityMatrix;
 use crate::parallel::{resolve_threads, try_scan_map_reduce, SCAN_BLOCK_SIZE};
 use crate::pattern::Pattern;
-use crate::sample_miner::{mine_sample_budgeted_kernel, DEFAULT_MAX_SAMPLE_PATTERNS};
+use crate::sample_miner::{mine_sample, DEFAULT_MAX_SAMPLE_PATTERNS};
 
 /// Configuration of the three-phase miner.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -67,11 +66,11 @@ pub struct MinerConfig {
     /// aborts the run with a diagnostic (it means the Chernoff band is too
     /// wide to prune — raise the sample size, threshold, or delta).
     pub max_sample_patterns: usize,
-    /// Worker threads for the phase-1/phase-3 scan pipeline; `0` means all
-    /// available cores. Purely operational: block sizes are constants and
-    /// partial sums reduce in block order, so mining output is bit-identical
-    /// at every thread count (which is also why this knob is not part of any
-    /// checkpointed state).
+    /// Worker threads for the scans of all three phases (phase 2 scans the
+    /// in-memory sample); `0` means all available cores. Purely
+    /// operational: block sizes are constants and partial sums reduce in
+    /// block order, so mining output is bit-identical at every thread count
+    /// (which is also why this knob is not part of any checkpointed state).
     pub threads: usize,
     /// Which match kernel evaluates candidate batches in phases 2 and 3 —
     /// the batched [`CandidateTrie`](crate::match_kernel::CandidateTrie)
@@ -83,17 +82,6 @@ pub struct MinerConfig {
     /// zero), so this knob never changes mining output and is not part of
     /// any checkpointed state.
     pub match_kernel: MatchKernel,
-    /// Positional symbol index mode (see [`crate::index`]). With
-    /// [`IndexMode::Build`] (or `Use` without a supplied sidecar), phase 1
-    /// builds a [`SymbolIndex`] as a by-product of its scan and phase-3
-    /// probe scans consult it to skip sequences that provably match every
-    /// probe at exactly `0.0`. Purely operational, like `threads` and
-    /// `match_kernel`: skipped sequences still count toward the Definition
-    /// 3.7 denominator, so mining output is bit-identical in every mode —
-    /// which is also why this knob defaults on deserialization and is not
-    /// part of any checkpointed state.
-    #[serde(default)]
-    pub index: IndexMode,
 }
 
 impl Default for MinerConfig {
@@ -110,7 +98,6 @@ impl Default for MinerConfig {
             max_sample_patterns: DEFAULT_MAX_SAMPLE_PATTERNS,
             threads: 0,
             match_kernel: MatchKernel::default(),
-            index: IndexMode::default(),
         }
     }
 }
@@ -330,30 +317,9 @@ pub fn try_phase1_threads<S: SequenceScan + ?Sized>(
     rng: &mut impl Rng,
     threads: usize,
 ) -> std::result::Result<Phase1Output, ScanError> {
-    try_phase1_threads_indexed(db, matrix, sample_size, rng, threads, false).map(|(p1, _)| p1)
-}
-
-/// [`try_phase1_threads`] that additionally builds a [`SymbolIndex`] over
-/// the scanned database when `build_index` is set.
-///
-/// The index is assembled in the in-order `inspect` hook alongside the
-/// sequential sampler, so it costs no extra scan and records every
-/// sequence in scan order — ordinal `i` in the index is the `i`-th
-/// sequence the scan yields, the addressing scheme the indexed match path
-/// expects. Phase 1 itself never *uses* an index: both the sampler and the
-/// symbol matches must see every sequence.
-pub fn try_phase1_threads_indexed<S: SequenceScan + ?Sized>(
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    sample_size: usize,
-    rng: &mut impl Rng,
-    threads: usize,
-    build_index: bool,
-) -> std::result::Result<(Phase1Output, Option<SymbolIndex>), ScanError> {
     let m = matrix.len();
     let threads = resolve_threads(threads);
     let mut sampler = SequentialSampler::new(sample_size, db.num_sequences());
-    let mut builder = build_index.then(|| SymbolIndexBuilder::new(m));
     let partials = try_scan_map_reduce(
         db,
         SCAN_BLOCK_SIZE,
@@ -363,9 +329,6 @@ pub fn try_phase1_threads_indexed<S: SequenceScan + ?Sized>(
             crate::obs::scan_sequences().add(block.len() as u64);
             for (_, seq) in block.iter() {
                 sampler.offer(seq, rng);
-                if let Some(b) = builder.as_mut() {
-                    b.add_sequence(seq);
-                }
             }
         },
         &|| SymbolMatchScratch::new(m),
@@ -391,17 +354,10 @@ pub fn try_phase1_threads_indexed<S: SequenceScan + ?Sized>(
             *v /= visited as f64;
         }
     }
-    let index = builder.map(|b| {
-        crate::obs::index_builds().inc();
-        b.finish()
-    });
-    Ok((
-        Phase1Output {
-            symbol_match: match_acc,
-            sample,
-        },
-        index,
-    ))
+    Ok(Phase1Output {
+        symbol_match: match_acc,
+        sample,
+    })
 }
 
 /// Runs the full three-phase miner.
@@ -410,44 +366,18 @@ pub fn mine<S: SequenceScan + ?Sized>(
     matrix: &CompatibilityMatrix,
     config: &MinerConfig,
 ) -> Result<MineOutcome> {
-    mine_indexed(db, matrix, config, None)
-}
-
-/// [`mine`] with an optional pre-built [`SymbolIndex`] over `db`.
-///
-/// With `supplied` set (e.g. loaded from an `NMIDX` sidecar by the CLI),
-/// phase-3 probe scans consult it regardless of `config.index`. With
-/// `supplied` absent and `config.index` enabled, phase 1 builds the index
-/// as a by-product of its scan. Either way the mined output is
-/// bit-identical to an unindexed run — the index only skips sequences
-/// whose match is provably `0.0` for every probe in a batch.
-pub fn mine_indexed<S: SequenceScan + ?Sized>(
-    db: &S,
-    matrix: &CompatibilityMatrix,
-    config: &MinerConfig,
-    supplied: Option<&SymbolIndex>,
-) -> Result<MineOutcome> {
     config.validate()?;
     let mut rng = StdRng::seed_from_u64(config.seed);
 
     // Phase 1: symbol matches + sample, one scan. A scan failure surfaces
     // as `Error::Scan` instead of killing the run with a panic.
-    let build_index = supplied.is_none() && config.index.enabled();
     let span = crate::obs::phase1_seconds().span();
     let t0 = Instant::now();
-    let (p1, built) = try_phase1_threads_indexed(
-        db,
-        matrix,
-        config.sample_size,
-        &mut rng,
-        config.threads,
-        build_index,
-    )?;
+    let p1 = try_phase1_threads(db, matrix, config.sample_size, &mut rng, config.threads)?;
     let phase1_time = t0.elapsed();
     span.finish();
 
-    let index = supplied.or(built.as_ref());
-    let mut outcome = mine_from_phase1(db, matrix, config, &p1, &[], index)?.0;
+    let mut outcome = mine_from_phase1(db, matrix, config, &p1, &[])?.0;
     outcome.stats.db_scans += 1;
     outcome.stats.phase1_time = phase1_time;
     Ok(outcome)
@@ -465,8 +395,7 @@ pub fn mine_indexed<S: SequenceScan + ?Sized>(
 /// online by the caller; phase 3 applies them first (see
 /// [`try_collapse_with_known_kernel_indexed`]), so previously verified
 /// patterns collapse their region of the ambiguous space with zero scans.
-/// `index` is an optional [`SymbolIndex`] over `db` for the phase-3 probe
-/// scans (see [`crate::index`]); it is purely operational. Also returns the
+/// `config.threads` bounds the workers of phases 2 and 3. Also returns the
 /// raw phase-3 [`CollapseResult`] so an incremental caller can adopt the
 /// probed FQT/INFQT border patterns (with their exact matches) as its next
 /// tracked set.
@@ -476,7 +405,6 @@ pub fn mine_from_phase1<S: SequenceScan + ?Sized>(
     config: &MinerConfig,
     p1: &Phase1Output,
     known: &[(Pattern, f64)],
-    index: Option<&SymbolIndex>,
 ) -> Result<(MineOutcome, CollapseResult)> {
     config.validate()?;
     let mut stats = MineStats {
@@ -487,7 +415,7 @@ pub fn mine_from_phase1<S: SequenceScan + ?Sized>(
     // Phase 2: classify candidates on the sample.
     let phase2_span = crate::obs::phase2_seconds().span();
     let t1 = Instant::now();
-    let p2 = mine_sample_budgeted_kernel(
+    let p2 = mine_sample(
         &p1.sample,
         matrix,
         &p1.symbol_match,
@@ -497,6 +425,7 @@ pub fn mine_from_phase1<S: SequenceScan + ?Sized>(
         &config.space,
         config.max_sample_patterns,
         config.match_kernel,
+        config.threads,
     );
     if p2.truncated {
         return Err(Error::InvalidConfig(format!(
@@ -528,7 +457,7 @@ pub fn mine_from_phase1<S: SequenceScan + ?Sized>(
         config.probe_strategy,
         config.threads,
         config.match_kernel,
-        index,
+        None,
     )?;
     stats.db_scans += p3.scans;
     stats.verified_patterns = p3.probes;

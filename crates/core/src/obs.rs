@@ -189,13 +189,9 @@ gauge!(
     "ratio"
 );
 
-// Positional symbol index skip-scans (index.rs; beyond the paper).
-counter!(
-    index_builds,
-    "core_index_builds_total",
-    "Symbol indexes built as a by-product of a phase-1 scan",
-    "indexes"
-);
+// Positional symbol index skip-scans (index.rs; beyond the paper). They
+// move only when a caller passes an index to a phase-3 scan; the miner
+// never does.
 counter!(
     index_plans_built,
     "core_index_plans_built_total",

@@ -42,7 +42,9 @@ pub fn resolve_threads(threads: usize) -> usize {
 
 /// Runs a deterministic map-reduce over the blocks of one scan.
 ///
-/// - `inspect` runs on the scanning thread, in block order, *before* the
+/// - `inspect` runs on the scanning thread — the calling thread, which
+///   reads the store and assembles the blocks itself through
+///   [`SequenceScan::try_scan_blocks`] — in block order, *before* the
 ///   block is handed to a worker — the hook for order-sensitive work
 ///   (sequential sampling, visit counting, scan accounting).
 /// - `map` runs on a worker with that worker's private scratch value (from

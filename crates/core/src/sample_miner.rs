@@ -76,6 +76,11 @@ impl SampleMineResult {
 /// sample match (`core_phase2_evaluate_seconds`), its labelling
 /// (`core_phase2_label_seconds`), and the generation of the next level's
 /// candidates from its survivors (`core_phase2_generate_seconds`).
+///
+/// The sample match runs with `threads = 0`: all available cores, or the
+/// calling thread alone for small levels. The miner bounds phase 2 by
+/// [`MinerConfig::threads`](crate::miner::MinerConfig::threads) instead;
+/// the classification is bit-identical at every thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn mine_sample_budgeted_kernel(
     sample: &[Vec<Symbol>],
@@ -88,6 +93,35 @@ pub fn mine_sample_budgeted_kernel(
     max_patterns: usize,
     kernel: MatchKernel,
 ) -> SampleMineResult {
+    mine_sample(
+        sample,
+        matrix,
+        symbol_match,
+        min_match,
+        delta,
+        spread_mode,
+        space,
+        max_patterns,
+        kernel,
+        0,
+    )
+}
+
+/// [`mine_sample_budgeted_kernel`] with the sample match on at most
+/// `threads` workers (`0` = all available cores).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn mine_sample(
+    sample: &[Vec<Symbol>],
+    matrix: &CompatibilityMatrix,
+    symbol_match: &[f64],
+    min_match: f64,
+    delta: f64,
+    spread_mode: SpreadMode,
+    space: &PatternSpace,
+    max_patterns: usize,
+    kernel: MatchKernel,
+    threads: usize,
+) -> SampleMineResult {
     let n = sample.len().max(1);
     let m = matrix.len();
     let mut result = SampleMineResult::default();
@@ -99,7 +133,7 @@ pub fn mine_sample_budgeted_kernel(
     let mut evaluated = candidates.len();
     loop {
         let evaluate = crate::obs::phase2_evaluate_seconds().span();
-        let values = sample_matches(&candidates, sample, matrix, kernel, 0);
+        let values = sample_matches(&candidates, sample, matrix, kernel, threads);
         evaluate.finish();
 
         let label_span = crate::obs::phase2_label_seconds().span();

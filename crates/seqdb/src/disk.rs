@@ -50,7 +50,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use noisemine_core::matching::{SequenceBlock, SequenceScan};
+use noisemine_core::matching::SequenceScan;
 use noisemine_core::{ScanError, ScanErrorKind, Symbol};
 
 use crate::crc::Crc32c;
@@ -978,13 +978,6 @@ impl SequenceScan for DiskDb {
         }
     }
 
-    fn scan_blocks(&self, block_size: usize, sink: &mut dyn FnMut(SequenceBlock) -> SequenceBlock) {
-        match self.try_scan_blocks(block_size, sink) {
-            Ok(()) => {}
-            Err(e) => panic!("scan of {} failed: {e}", self.path.display()),
-        }
-    }
-
     fn try_scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) -> Result<(), ScanError> {
         self.scans.fetch_add(1, Ordering::Relaxed);
         crate::obs::disk_scans().inc();
@@ -995,27 +988,6 @@ impl SequenceScan for DiskDb {
                 Err(e)
             }
         }
-    }
-
-    fn try_scan_blocks(
-        &self,
-        block_size: usize,
-        sink: &mut dyn FnMut(SequenceBlock) -> SequenceBlock,
-    ) -> Result<(), ScanError> {
-        self.scans.fetch_add(1, Ordering::Relaxed);
-        crate::obs::disk_scans().inc();
-        // Read-ahead double buffering: a dedicated thread streams and
-        // decodes the file into blocks while the calling thread consumes
-        // them, so disk I/O overlaps with compute.
-        let result = crate::pipeline::double_buffered(
-            block_size,
-            |emitter| self.scan_records(&mut |id, seq| emitter.push(id, seq)),
-            sink,
-        );
-        if result.is_err() {
-            crate::obs::fault_scan_failures().inc();
-        }
-        result
     }
 }
 
@@ -1237,13 +1209,14 @@ mod tests {
         let db = DiskDb::create_from(&path, data.iter().map(Vec::as_slice)).unwrap();
         let mut seen = Vec::new();
         let mut sizes = Vec::new();
-        db.scan_blocks(4, &mut |block| {
+        db.try_scan_blocks(4, &mut |block| {
             sizes.push(block.len());
             for (id, s) in block.iter() {
                 seen.push((id, s.to_vec()));
             }
             block
-        });
+        })
+        .unwrap();
         assert_eq!(sizes, vec![4, 4, 2]);
         let expected: Vec<(u64, Vec<Symbol>)> = data
             .iter()

@@ -27,7 +27,7 @@ use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::time::Duration;
 
-use noisemine_core::matching::{SequenceBlock, SequenceScan};
+use noisemine_core::matching::SequenceScan;
 use noisemine_core::{ScanError, Symbol};
 
 use crate::disk::{DiskDb, DiskResult};
@@ -278,18 +278,8 @@ impl SequenceScan for FaultyStore {
     fn scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) {
         self.db.scan(visit)
     }
-    fn scan_blocks(&self, block_size: usize, sink: &mut dyn FnMut(SequenceBlock) -> SequenceBlock) {
-        self.db.scan_blocks(block_size, sink)
-    }
     fn try_scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) -> Result<(), ScanError> {
         self.db.try_scan(visit)
-    }
-    fn try_scan_blocks(
-        &self,
-        block_size: usize,
-        sink: &mut dyn FnMut(SequenceBlock) -> SequenceBlock,
-    ) -> Result<(), ScanError> {
-        self.db.try_scan_blocks(block_size, sink)
     }
 }
 

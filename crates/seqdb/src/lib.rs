@@ -15,16 +15,13 @@
 pub mod crc;
 pub mod disk;
 pub mod fault;
-pub mod index;
 pub mod memory;
 pub(crate) mod obs;
-mod pipeline;
 pub mod sampling;
 pub mod text;
 
 pub use disk::{DiskDb, DiskDbWriter, DiskError, DiskResult};
 pub use fault::{FaultPlan, FaultPolicy, FaultyStore, QuarantinedRecord};
-pub use index::{ensure_index, load_validated, sidecar_path, IndexBinding};
 pub use memory::MemoryDb;
 pub use sampling::{reservoir_sample, sequential_sample};
 pub use text::{

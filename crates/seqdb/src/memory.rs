@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use noisemine_core::matching::{SequenceBlock, SequenceScan};
+use noisemine_core::matching::SequenceScan;
 use noisemine_core::Symbol;
 
 /// An in-memory sequence database.
@@ -87,29 +87,6 @@ impl SequenceScan for MemoryDb {
             visit(*id, seq);
         }
     }
-
-    fn scan_blocks(&self, block_size: usize, sink: &mut dyn FnMut(SequenceBlock) -> SequenceBlock) {
-        assert!(block_size >= 1, "block_size must be at least 1");
-        // No producer thread here, unlike the disk store: an in-memory
-        // producer does no I/O to overlap, so the double-buffer hand-off
-        // (spawn + channel + a context switch per block on small hosts) is
-        // pure overhead at kernel timescales. Blocks are assembled inline
-        // with the same grouping and order — matching the default
-        // `try_scan_blocks` path — so every layered reduction stays
-        // bit-identical.
-        self.scans.fetch_add(1, Ordering::Relaxed);
-        let mut block = SequenceBlock::new();
-        for (id, seq) in &self.sequences {
-            block.push(*id, seq);
-            if block.len() >= block_size {
-                block = sink(std::mem::take(&mut block));
-                block.clear();
-            }
-        }
-        if !block.is_empty() {
-            sink(block);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -149,13 +126,14 @@ mod tests {
         let db = MemoryDb::from_sequences(data.clone());
         let mut seen = Vec::new();
         let mut sizes = Vec::new();
-        db.scan_blocks(3, &mut |block| {
+        db.try_scan_blocks(3, &mut |block| {
             sizes.push(block.len());
             for (id, s) in block.iter() {
                 seen.push((id, s.to_vec()));
             }
             block
-        });
+        })
+        .unwrap();
         assert_eq!(sizes, vec![3, 3, 1]);
         let expected: Vec<(u64, Vec<Symbol>)> = data
             .iter()

@@ -1,13 +1,13 @@
 //! Metric handles for the seqdb crate's instrumentation: disk-scan
 //! accounting (the paper's cost model counts full scans of a disk-resident
-//! database) and the read-ahead block pipeline's fill/drain/stall timings.
+//! database) and the fault-tolerance counters.
 //!
 //! Handles are lazily registered in the process-wide
 //! [`noisemine_obs::global`] registry and cached in `OnceLock`s; recording
 //! is gated on [`noisemine_obs::enabled`] and never affects scan contents.
 //! Every metric is documented in `docs/OBSERVABILITY.md`.
 
-use noisemine_obs::{self as obs, Counter, Histogram};
+use noisemine_obs::{self as obs, Counter};
 use std::sync::OnceLock;
 
 macro_rules! counter {
@@ -15,15 +15,6 @@ macro_rules! counter {
         pub(crate) fn $fn_name() -> &'static Counter {
             static H: OnceLock<Counter> = OnceLock::new();
             H.get_or_init(|| obs::counter($name, $help, $unit))
-        }
-    };
-}
-
-macro_rules! duration_histogram {
-    ($fn_name:ident, $name:literal, $help:literal) => {
-        pub(crate) fn $fn_name() -> &'static Histogram {
-            static H: OnceLock<Histogram> = OnceLock::new();
-            H.get_or_init(|| obs::histogram($name, $help, "seconds", obs::duration_buckets()))
         }
     };
 }
@@ -39,33 +30,6 @@ counter!(
     "seqdb_disk_bytes_read_total",
     "Bytes decoded from disk-resident databases across all scans",
     "bytes"
-);
-counter!(
-    pipeline_blocks,
-    "seqdb_pipeline_blocks_total",
-    "Blocks streamed through the read-ahead pipeline",
-    "blocks"
-);
-counter!(
-    pipeline_producer_stalls,
-    "seqdb_pipeline_producer_stalls_total",
-    "Blocks whose hand-off blocked because the read-ahead channel was full (consumer slower than I/O)",
-    "blocks"
-);
-duration_histogram!(
-    pipeline_fill_seconds,
-    "seqdb_pipeline_fill_seconds",
-    "Producer time to fill one block (decode I/O), first push to ship"
-);
-duration_histogram!(
-    pipeline_drain_seconds,
-    "seqdb_pipeline_drain_seconds",
-    "Consumer time spent processing one block before returning it for recycling"
-);
-duration_histogram!(
-    pipeline_wait_seconds,
-    "seqdb_pipeline_wait_seconds",
-    "Consumer time spent waiting for the next block (read-ahead stall when large)"
 );
 counter!(
     fault_retries,
@@ -96,27 +60,4 @@ counter!(
     "seqdb_fault_scan_failures_total",
     "Scans that surfaced an error to the caller",
     "scans"
-);
-counter!(
-    index_writes,
-    "seqdb_index_writes_total",
-    "NMIDX sidecar files written (index build + persist)",
-    "files"
-);
-counter!(
-    index_loads,
-    "seqdb_index_loads_total",
-    "NMIDX sidecars loaded after passing checksum and binding validation",
-    "files"
-);
-counter!(
-    index_stale,
-    "seqdb_index_stale_total",
-    "NMIDX sidecars rejected as stale or corrupt (database changed, view changed, or checksum failed)",
-    "files"
-);
-duration_histogram!(
-    index_build_seconds,
-    "seqdb_index_build_seconds",
-    "Wall-clock time of one index-building scan over a disk database"
 );

@@ -396,7 +396,6 @@ fn supervised_remine(
                     &mine_prep.config,
                     &mine_prep.p1,
                     &mine_prep.known,
-                    None,
                 )
             }));
             // The tick may have timed out and dropped the receiver —

@@ -301,9 +301,6 @@ impl StreamState {
             // Operational only, never checkpointed: the kernels are
             // bit-identical, so a restore always uses the default.
             match_kernel: noisemine_core::MatchKernel::default(),
-            // Operational only, never checkpointed: the indexed and
-            // unindexed scan paths are bit-identical.
-            index: noisemine_core::IndexMode::default(),
         };
         config
             .validate()

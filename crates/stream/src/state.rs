@@ -342,7 +342,7 @@ impl StreamState {
     pub fn mine<S: SequenceScan + ?Sized>(&mut self, db: &S) -> Result<MineOutcome> {
         let prep = self.prepare_mine();
         let (outcome, p3) =
-            mine_from_phase1(db, &prep.matrix, &prep.config, &prep.p1, &prep.known, None)?;
+            mine_from_phase1(db, &prep.matrix, &prep.config, &prep.p1, &prep.known)?;
         self.complete_mine(&prep, &p3);
         Ok(outcome)
     }

@@ -2,9 +2,9 @@
 """Performance-regression gate for the committed bench baselines.
 
 Compares a freshly measured bench JSON (``BENCH_kernel.json`` from the
-``match_kernel`` bin, ``BENCH_parallel.json`` from ``scan_parallel``,
-``BENCH_serve.json`` from ``serve_load``, or ``BENCH_index.json`` from
-``index_scan``) against the committed baseline of the same bench. Rows are matched by their
+``match_kernel`` bin, ``BENCH_parallel.json`` from ``scan_parallel``, or
+``BENCH_serve.json`` from ``serve_load``) against the committed baseline of
+the same bench. Rows are matched by their
 identity fields, throughput is compared, a delta table is printed, and the
 script exits non-zero when any row's throughput dropped by more than the
 threshold (default 25%).
@@ -58,7 +58,6 @@ SCHEMAS = {
     ),
     "scan_parallel": (("backend", "threads"), "seqs_per_sec", {}, {}),
     "serve_load": (("patterns", "concurrency", "mode"), "rps", {}, {}),
-    "index_scan": (("symbols", "len", "candidates", "mode"), "speedup", {}, {}),
 }
 
 

@@ -123,24 +123,6 @@ class TestVerdicts(GateHarness):
         self.assertEqual(res.returncode, 1)
         self.assertIn("baseline has no rows", res.stderr)
 
-    def test_index_scan_schema_gates_speedup(self):
-        def idx_row(speedup):
-            return {
-                "symbols": 64,
-                "len": 6,
-                "candidates": 16,
-                "mode": "indexed",
-                "speedup": speedup,
-                "evals_per_sec": 1.0,
-            }
-
-        doc = {"bench": "index_scan", "rows": [idx_row(6.0)]}
-        ok = self.run_gate(doc, {"bench": "index_scan", "rows": [idx_row(5.5)]})
-        self.assertEqual(ok.returncode, 0, ok.stderr)
-        bad = self.run_gate(doc, {"bench": "index_scan", "rows": [idx_row(2.0)]})
-        self.assertEqual(bad.returncode, 1)
-        self.assertIn("regressed", bad.stdout)
-
 
 class TestMalformedInput(GateHarness):
     def test_row_missing_metric_reports_field_not_traceback(self):
