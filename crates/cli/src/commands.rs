@@ -17,7 +17,7 @@ use noisemine_datagen::noise::{channel_to_compatibility, partner_channel};
 use noisemine_datagen::{
     apply_channel, apply_uniform_noise, blosum, generate, Background, GeneratorConfig, PlantedMotif,
 };
-use noisemine_seqdb::{text, DiskDb, FaultPolicy, MemoryDb};
+use noisemine_seqdb::{text, DiskDb, FaultPolicy};
 use noisemine_stream::StreamState;
 
 use crate::opts::{CliResult, Opts};
@@ -280,9 +280,82 @@ pub fn cmd_convert(opts: &Opts) -> CliResult<()> {
     Ok(())
 }
 
-/// `noisemine mine` — run a miner over a text database, or a binary
-/// `.nmdb` database (scans stream from disk under the `--on-fault`
-/// policy).
+/// The database `noisemine mine` runs on: a text file read whole, or a
+/// binary `.nmdb` file whose every scan streams from disk under the
+/// `--on-fault` policy (see docs/ROBUSTNESS.md).
+enum Store {
+    Text(MemorySequences),
+    Disk(DiskDb),
+}
+
+impl Store {
+    fn scan(&self) -> &dyn SequenceScan {
+        match self {
+            Store::Text(db) => db,
+            Store::Disk(db) => db,
+        }
+    }
+}
+
+/// Opens `--db` with the alphabet and matrix that go with it. Binary files
+/// store symbol ids only: names come from `--matrix`, and without one a
+/// sizing scan (itself under the fault policy) picks a synthetic alphabet
+/// large enough for every surviving symbol.
+fn open_store(opts: &Opts, path: &str) -> CliResult<(Store, Alphabet, CompatibilityMatrix)> {
+    if !path.ends_with(".nmdb") {
+        if opts.get("on-fault").is_some() {
+            return Err(
+                "--on-fault applies to binary .nmdb databases (text files are read whole)".into(),
+            );
+        }
+        let (alphabet, sequences) = load_db(opts)?;
+        let matrix = text_matrix(opts, &alphabet)?;
+        return Ok((Store::Text(MemorySequences(sequences)), alphabet, matrix));
+    }
+    let db = DiskDb::open_with_policy(path, parse_on_fault(opts)?)
+        .map_err(|e| format!("{path}: {e}"))?;
+    if !db.quarantined().is_empty() {
+        eprintln!(
+            "quarantined {} corrupt record(s); mining the {} surviving sequence(s)",
+            db.quarantined().len(),
+            db.num_sequences(),
+        );
+    }
+    let algorithm = opts.get_or("algorithm", "three-phase");
+    if algorithm != "three-phase" {
+        return Err(format!(
+            "binary databases mine with --algorithm three-phase (got {algorithm:?}); \
+             the baseline miners need a text database"
+        )
+        .into());
+    }
+    if opts.get("top").is_some() {
+        return Err("--top needs a text database".into());
+    }
+    let (alphabet, matrix) = match opts.get("matrix") {
+        Some(matrix_path) => {
+            let alphabet = load_matrix_alphabet(matrix_path)?;
+            let matrix = load_matrix(matrix_path, &alphabet)?.1;
+            (alphabet, matrix)
+        }
+        None => {
+            let mut max = 0usize;
+            db.try_scan(&mut |_, seq| {
+                for s in seq {
+                    max = max.max(s.index());
+                }
+            })
+            .map_err(|e| format!("{path}: {e}"))?;
+            let alphabet = Alphabet::synthetic((max + 1).max(2));
+            let m = alphabet.len();
+            (alphabet, CompatibilityMatrix::identity(m))
+        }
+    };
+    Ok((Store::Disk(db), alphabet, matrix))
+}
+
+/// `noisemine mine` — run a miner over a text database, or the three-phase
+/// miner over a binary `.nmdb` database.
 pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
     opts.deny_unknown(&[
         "db",
@@ -308,31 +381,14 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
         "model-version",
     ])?;
     let sink = metrics_sink(opts);
-    if opts.required("db")?.ends_with(".nmdb") {
-        return mine_binary(opts, sink.as_ref());
-    }
-    if opts.get("on-fault").is_some() {
-        return Err(
-            "--on-fault applies to binary .nmdb databases (text files are read whole)".into(),
-        );
-    }
-    let (alphabet, sequences) = load_db(opts)?;
-    let m = alphabet.len();
-    let matrix = match opts.get("matrix") {
-        Some(path) => load_matrix(path, &alphabet)?.1,
-        None => CompatibilityMatrix::identity(m),
-    };
+    let path = opts.required("db")?;
+    let (store, alphabet, matrix) = open_store(opts, path)?;
     let matrix = maybe_normalize(matrix, opts)?;
-    let min_match = opts.num("min-match", 0.1f64)?;
-    let space = PatternSpace::new(opts.num("max-gap", 0usize)?, opts.num("max-len", 16usize)?)
-        .map_err(|e| e.to_string())?;
+    let config = miner_config(opts, store.scan().num_sequences())?;
+    let (min_match, space) = (config.min_match, config.space);
     let algorithm = opts.get_or("algorithm", "three-phase");
     let limit = opts.num("limit", 50usize)?;
-
-    let format = opts.get_or("format", "table");
-    if !["table", "csv", "json"].contains(&format) {
-        return Err(format!("unknown --format {format:?}; use table, csv, or json").into());
-    }
+    let format = parse_format(opts)?;
     if opts.get("model-out").is_some() && (algorithm != "three-phase" || opts.get("top").is_some())
     {
         return Err(
@@ -342,12 +398,14 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
         );
     }
 
-    // `--top k` switches to threshold-free best-first mining.
-    if let Some(k) = opts.get("top") {
+    // `--top k` switches to threshold-free best-first mining. Binary stores
+    // reach only the three-phase arm below: `open_store` rejects `--top`
+    // and the baseline algorithms for them.
+    if let (Some(k), Store::Text(db)) = (opts.get("top"), &store) {
         let k: usize = k
             .parse()
             .map_err(|_| format!("--top got unparsable value {k:?}"))?;
-        let r = mine_top_k(&sequences, &matrix, k, &space);
+        let r = mine_top_k(&db.0, &matrix, k, &space);
         eprintln!(
             "top-{k} patterns ({} evaluated, implied threshold {:.4}):",
             r.evaluated, r.implied_threshold
@@ -356,26 +414,12 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
         return emit(&r.patterns, r.patterns.len(), &alphabet, format);
     }
 
-    let frequent: Vec<(Pattern, f64)> = match algorithm {
-        "three-phase" => {
-            let db = MemoryDb::from_sequences(sequences);
-            let config = MinerConfig {
-                min_match,
-                delta: opts.num("delta", 0.001f64)?,
-                sample_size: opts.num("sample", db.sequences().len())?,
-                counters_per_scan: opts.num("counters", 100_000usize)?,
-                space,
-                probe_strategy: match opts.get_or("strategy", "border") {
-                    "border" => ProbeStrategy::BorderCollapsing,
-                    "levelwise" => ProbeStrategy::LevelWise,
-                    other => return Err(format!("unknown strategy {other:?}").into()),
-                },
-                seed: opts.num("seed", 2002u64)?,
-                threads: opts.num("threads", 0usize)?,
-                match_kernel: parse_kernel(opts)?,
-                ..MinerConfig::default()
-            };
-            let outcome = mine(&db, &matrix, &config).map_err(|e| e.to_string())?;
+    let frequent: Vec<(Pattern, f64)> = match (&store, algorithm) {
+        (_, "three-phase") => {
+            let outcome = mine(store.scan(), &matrix, &config).map_err(|e| match store {
+                Store::Text(_) => e.to_string(),
+                Store::Disk(_) => format!("{path}: {e}"),
+            })?;
             eprintln!(
                 "three-phase miner: {} db scans, {} sample-confident, {} verified, {} implied",
                 outcome.stats.db_scans,
@@ -390,12 +434,11 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
                 .map(|f| (f.pattern, f.match_estimate))
                 .collect()
         }
-        "levelwise" => {
-            let db = MemoryDb::from_sequences(sequences);
+        (Store::Text(db), "levelwise") => {
             let r = mine_levelwise(
-                &db,
+                db,
                 &MatchMetric { matrix: &matrix },
-                m,
+                alphabet.len(),
                 min_match,
                 &space,
                 usize::MAX,
@@ -407,20 +450,19 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
             );
             r.frequent
         }
-        "depth-first" => {
-            let r = mine_depth_first(&sequences, &matrix, min_match, &space);
+        (Store::Text(db), "depth-first") => {
+            let r = mine_depth_first(&db.0, &matrix, min_match, &space);
             eprintln!(
                 "depth-first miner: {} patterns evaluated, depth {}",
                 r.patterns_evaluated, r.max_depth
             );
             r.frequent
         }
-        "max-miner" => {
-            let db = MemoryDb::from_sequences(sequences);
+        (Store::Text(db), "max-miner") => {
             let r = mine_maxminer(
-                &db,
+                db,
                 &MatchMetric { matrix: &matrix },
-                m,
+                alphabet.len(),
                 min_match,
                 &space,
                 &MaxMinerConfig::default(),
@@ -434,7 +476,7 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
                 .map(|(p, v)| (p, v.unwrap_or(min_match)))
                 .collect()
         }
-        other => {
+        (_, other) => {
             return Err(format!(
                 "unknown algorithm {other:?}; use three-phase, levelwise, depth-first, or max-miner"
             )
@@ -453,64 +495,13 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
     emit(&sorted, limit, &alphabet, format)
 }
 
-/// Mines a binary `.nmdb` database with the three-phase miner, scanning
-/// directly from disk: every pass streams through the fallible scan path
-/// under the policy picked by `--on-fault` (see docs/ROBUSTNESS.md).
-fn mine_binary(opts: &Opts, sink: Option<&noisemine_obs::FileSink>) -> CliResult<()> {
-    let path = opts.required("db")?;
-    let policy = parse_on_fault(opts)?;
-    let db = DiskDb::open_with_policy(path, policy).map_err(|e| format!("{path}: {e}"))?;
-    if !db.quarantined().is_empty() {
-        eprintln!(
-            "quarantined {} corrupt record(s); mining the {} surviving sequence(s)",
-            db.quarantined().len(),
-            db.num_sequences(),
-        );
-    }
-    let algorithm = opts.get_or("algorithm", "three-phase");
-    if algorithm != "three-phase" {
-        return Err(format!(
-            "binary databases mine with --algorithm three-phase (got {algorithm:?}); \
-             the baseline miners need a text database"
-        )
-        .into());
-    }
-    if opts.get("top").is_some() {
-        return Err("--top needs a text database".into());
-    }
-    let format = opts.get_or("format", "table");
-    if !["table", "csv", "json"].contains(&format) {
-        return Err(format!("unknown --format {format:?}; use table, csv, or json").into());
-    }
-
-    // Binary files store symbol ids only. Names come from --matrix; without
-    // one, a sizing scan (itself under the fault policy) picks a synthetic
-    // alphabet large enough for every surviving symbol.
-    let (alphabet, matrix) = match opts.get("matrix") {
-        Some(matrix_path) => {
-            let alphabet = load_matrix_alphabet(matrix_path)?;
-            let matrix = load_matrix(matrix_path, &alphabet)?.1;
-            (alphabet, matrix)
-        }
-        None => {
-            let mut max = 0usize;
-            db.try_scan(&mut |_, seq| {
-                for s in seq {
-                    max = max.max(s.index());
-                }
-            })
-            .map_err(|e| format!("{path}: {e}"))?;
-            let alphabet = Alphabet::synthetic((max + 1).max(2));
-            let m = alphabet.len();
-            (alphabet, CompatibilityMatrix::identity(m))
-        }
-    };
-    let matrix = maybe_normalize(matrix, opts)?;
-    let min_match = opts.num("min-match", 0.1f64)?;
-    let config = MinerConfig {
-        min_match,
+/// The three-phase miner's configuration from the flags `mine` and
+/// `stream` share; `--sample` defaults to `default_sample`.
+fn miner_config(opts: &Opts, default_sample: usize) -> CliResult<MinerConfig> {
+    Ok(MinerConfig {
+        min_match: opts.num("min-match", 0.1f64)?,
         delta: opts.num("delta", 0.001f64)?,
-        sample_size: opts.num("sample", db.num_sequences() as usize)?,
+        sample_size: opts.num("sample", default_sample)?,
         counters_per_scan: opts.num("counters", 100_000usize)?,
         space: PatternSpace::new(opts.num("max-gap", 0usize)?, opts.num("max-len", 16usize)?)
             .map_err(|e| e.to_string())?,
@@ -523,30 +514,7 @@ fn mine_binary(opts: &Opts, sink: Option<&noisemine_obs::FileSink>) -> CliResult
         threads: opts.num("threads", 0usize)?,
         match_kernel: parse_kernel(opts)?,
         ..MinerConfig::default()
-    };
-    let outcome = mine(&db, &matrix, &config).map_err(|e| format!("{path}: {e}"))?;
-    eprintln!(
-        "three-phase miner: {} db scans, {} sample-confident, {} verified, {} implied",
-        outcome.stats.db_scans,
-        outcome.stats.sample_frequent,
-        outcome.stats.verified_patterns,
-        outcome.stats.propagated_patterns,
-    );
-    maybe_write_model(opts, &outcome, &alphabet, &matrix, min_match)?;
-    let mut sorted: Vec<(Pattern, f64)> = outcome
-        .frequent
-        .into_iter()
-        .map(|f| (f.pattern, f.match_estimate))
-        .collect();
-    sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let limit = opts.num("limit", 50usize)?;
-    eprintln!(
-        "{} frequent patterns (match >= {min_match}); top {}:",
-        sorted.len(),
-        limit.min(sorted.len())
-    );
-    write_metrics(sink)?;
-    emit(&sorted, limit, &alphabet, format)
+    })
 }
 
 /// Writes the mined outcome as a versioned `NMMODEL` serving artifact
@@ -786,18 +754,10 @@ pub fn cmd_stream(opts: &Opts) -> CliResult<()> {
     ])?;
     let sink = metrics_sink(opts);
     let (alphabet, sequences) = load_db_or_stdin(opts)?;
-    let m = alphabet.len();
-    let matrix = match opts.get("matrix") {
-        Some(path) => load_matrix(path, &alphabet)?.1,
-        None => CompatibilityMatrix::identity(m),
-    };
-    let matrix = maybe_normalize(matrix, opts)?;
+    let matrix = maybe_normalize(text_matrix(opts, &alphabet)?, opts)?;
     let limit = opts.num("limit", 50usize)?;
     let chunk = opts.num("chunk", 1000usize)?.max(1);
-    let format = opts.get_or("format", "table");
-    if !["table", "csv", "json"].contains(&format) {
-        return Err(format!("unknown --format {format:?}; use table, csv, or json").into());
-    }
+    let format = parse_format(opts)?;
 
     let checkpoint_path = opts.get("checkpoint").map(Path::new);
     let mut engine = match checkpoint_path {
@@ -811,29 +771,8 @@ pub fn cmd_stream(opts: &Opts) -> CliResult<()> {
             );
             engine
         }
-        _ => {
-            let config = MinerConfig {
-                min_match: opts.num("min-match", 0.1f64)?,
-                delta: opts.num("delta", 0.001f64)?,
-                sample_size: opts.num("sample", 1000usize)?,
-                counters_per_scan: opts.num("counters", 100_000usize)?,
-                space: PatternSpace::new(
-                    opts.num("max-gap", 0usize)?,
-                    opts.num("max-len", 16usize)?,
-                )
-                .map_err(|e| e.to_string())?,
-                probe_strategy: match opts.get_or("strategy", "border") {
-                    "border" => ProbeStrategy::BorderCollapsing,
-                    "levelwise" => ProbeStrategy::LevelWise,
-                    other => return Err(format!("unknown strategy {other:?}").into()),
-                },
-                seed: opts.num("seed", 2002u64)?,
-                threads: opts.num("threads", 0usize)?,
-                match_kernel: parse_kernel(opts)?,
-                ..MinerConfig::default()
-            };
-            StreamState::new(matrix.clone(), config).map_err(|e| e.to_string())?
-        }
+        _ => StreamState::new(matrix.clone(), miner_config(opts, 1000)?)
+            .map_err(|e| e.to_string())?,
     };
 
     let already = engine.total_seen() as usize;
@@ -858,8 +797,9 @@ pub fn cmd_stream(opts: &Opts) -> CliResult<()> {
         engine.ingest_all(batch);
         ingested += batch.len();
         if engine.drift_exceeded() {
-            let prefix = MemorySequences(sequences[..ingested].to_vec());
-            let outcome = engine.mine(&prefix).map_err(|e| e.to_string())?;
+            let outcome = engine
+                .mine(&sequences[..ingested])
+                .map_err(|e| e.to_string())?;
             remines += 1;
             eprintln!(
                 "re-mined at {ingested} sequences: {} frequent, {} db scans \
@@ -1085,6 +1025,24 @@ fn load_matrix(path: &str, expected: &Alphabet) -> CliResult<(Alphabet, Compatib
         .into());
     }
     Ok((alphabet, matrix))
+}
+
+/// `--format table|csv|json` (default table).
+fn parse_format(opts: &Opts) -> CliResult<&str> {
+    let format = opts.get_or("format", "table");
+    if !["table", "csv", "json"].contains(&format) {
+        return Err(format!("unknown --format {format:?}; use table, csv, or json").into());
+    }
+    Ok(format)
+}
+
+/// The matrix for a text database: `--matrix` read against `alphabet`, or
+/// the identity (plain support) without one.
+fn text_matrix(opts: &Opts, alphabet: &Alphabet) -> CliResult<CompatibilityMatrix> {
+    match opts.get("matrix") {
+        Some(path) => Ok(load_matrix(path, alphabet)?.1),
+        None => Ok(CompatibilityMatrix::identity(alphabet.len())),
+    }
 }
 
 fn maybe_normalize(matrix: CompatibilityMatrix, opts: &Opts) -> CliResult<CompatibilityMatrix> {

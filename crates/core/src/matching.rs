@@ -197,7 +197,18 @@ impl SequenceScan for MemorySequences {
         self.0.len()
     }
     fn scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) {
-        for (i, s) in self.0.iter().enumerate() {
+        self.0.scan(visit)
+    }
+}
+
+/// A borrowed run of sequences scans in place, with its positions as ids:
+/// a phase-2 sample or a prefix of a log is matched without copying it.
+impl SequenceScan for [Vec<Symbol>] {
+    fn num_sequences(&self) -> usize {
+        self.len()
+    }
+    fn scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) {
+        for (i, s) in self.iter().enumerate() {
             visit(i as u64, s);
         }
     }

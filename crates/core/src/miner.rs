@@ -233,12 +233,11 @@ pub struct Phase1Output {
 }
 
 /// The phase-1 sequence sampler: Vitter's sequential sampling within the
-/// reported database size, hardened with the same reservoir fallback as
-/// `noisemine-seqdb`'s `sequential_sample` for scans that yield more
-/// sequences than [`SequenceScan::num_sequences`] reported (a store being
-/// appended to concurrently). Without the fallback, `reported - seen`
-/// underflows on the first surplus sequence — a panic in debug builds, a
-/// corrupted inclusion probability in release builds.
+/// reported database size, hardened with a reservoir fallback for scans
+/// that yield more sequences than [`SequenceScan::num_sequences`] reported
+/// (a store being appended to concurrently). Without the fallback,
+/// `reported - seen` underflows on the first surplus sequence — a panic in
+/// debug builds, a corrupted inclusion probability in release builds.
 struct SequentialSampler {
     /// The caller's requested sample size.
     requested: usize,
@@ -706,6 +705,118 @@ mod tests {
         for (a, b) in out.symbol_match.iter().zip(&expect) {
             assert!((a - b).abs() < 1e-12);
         }
+    }
+
+    /// `n` one-symbol sequences whose symbol is their scan position.
+    fn numbered(n: usize) -> MemorySequences {
+        MemorySequences((0..n).map(|i| vec![Symbol(i as u16)]).collect())
+    }
+
+    /// Phase 1's sample of `requested` sequences from `database`, as scan
+    /// positions.
+    fn sample_ids<S: SequenceScan + ?Sized>(
+        database: &S,
+        requested: usize,
+        rng: &mut StdRng,
+    ) -> Vec<u16> {
+        let matrix = CompatibilityMatrix::identity(64);
+        let out = try_phase1_threads(database, &matrix, requested, rng, 1).unwrap();
+        out.sample.iter().map(|seq| seq[0].0).collect()
+    }
+
+    #[test]
+    fn phase1_sample_preserves_order_and_uniqueness() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let ids = sample_ids(&numbered(50), 20, &mut rng);
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), 20, "duplicates in sample");
+        assert_eq!(ids, sorted, "sequential sampling preserves scan order");
+    }
+
+    #[test]
+    fn phase1_sample_is_approximately_uniform() {
+        // Sample 10 of 20 sequences many times; each sequence should be
+        // selected about half the time.
+        let database = numbered(20);
+        let mut rng = StdRng::seed_from_u64(99);
+        let trials = 2000;
+        let mut counts = [0usize; 20];
+        for _ in 0..trials {
+            for id in sample_ids(&database, 10, &mut rng) {
+                counts[id as usize] += 1;
+            }
+        }
+        for (i, &c) in counts.iter().enumerate() {
+            let freq = c as f64 / trials as f64;
+            assert!(
+                (freq - 0.5).abs() < 0.06,
+                "sequence {i} selected with frequency {freq}, expected ~0.5"
+            );
+        }
+    }
+
+    #[test]
+    fn phase1_sample_handles_empty_requests_and_empty_dbs() {
+        let mut rng = StdRng::seed_from_u64(3);
+        assert!(sample_ids(&numbered(0), 0, &mut rng).is_empty());
+        assert!(sample_ids(&numbered(0), 10, &mut rng).is_empty());
+        assert!(sample_ids(&numbered(25), 0, &mut rng).is_empty());
+    }
+
+    #[test]
+    fn phase1_fallback_covers_surplus_sequences() {
+        // With n >= actual the fallback must return every sequence,
+        // including the ones past the reported count.
+        let lying = UnderReportingDb {
+            inner: numbered(30),
+            reported: 5,
+        };
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut ids = sample_ids(&lying, 30, &mut rng);
+        ids.sort_unstable();
+        assert_eq!(ids, (0..30).collect::<Vec<u16>>());
+    }
+
+    #[test]
+    fn phase1_fallback_reaches_all_positions() {
+        // Reservoir replacement must be able to select surplus sequences
+        // without starving the sequentially chosen prefix.
+        let lying = UnderReportingDb {
+            inner: numbered(20),
+            reported: 10,
+        };
+        let mut rng = StdRng::seed_from_u64(13);
+        let trials = 2000;
+        let mut counts = [0usize; 20];
+        for _ in 0..trials {
+            for id in sample_ids(&lying, 5, &mut rng) {
+                counts[id as usize] += 1;
+            }
+        }
+        for (i, &c) in counts.iter().enumerate() {
+            assert!(c > 0, "sequence {i} never selected across {trials} trials");
+        }
+    }
+
+    #[test]
+    fn phase1_samples_in_one_scan() {
+        /// Counts the scans made through it.
+        struct Counting(MemorySequences, std::sync::atomic::AtomicUsize);
+        impl SequenceScan for Counting {
+            fn num_sequences(&self) -> usize {
+                self.0.num_sequences()
+            }
+            fn scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) {
+                self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.0.scan(visit)
+            }
+        }
+        let database = Counting(numbered(10), Default::default());
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(sample_ids(&database, 5, &mut rng).len(), 5);
+        assert_eq!(database.1.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -7,26 +7,17 @@
 //! the compiled [`CandidateTrie`] metadata (node count) used to verify
 //! that a reloaded model compiles to the same kernel shape.
 //!
-//! The model has a hand-rolled little-endian binary payload
-//! ([`PatternModel::encode`] / [`PatternModel::decode`]) that is
-//! **byte-stable**: encoding the same model twice yields identical bytes,
-//! so artifact checksums are meaningful. Framing (magic, format version,
-//! CRC32C integrity) is layered on top by the serving crate's `NMMODEL`
-//! file format; this module is only the payload.
+//! The model's on-disk form, the `NMMODEL` artifact, is encoded and
+//! decoded by the serving crate's `model_io` module, which owns the whole
+//! format: the byte-stable payload and its framing.
 //!
 //! [`CandidateTrie`]: crate::match_kernel::CandidateTrie
 
-use crate::alphabet::{Alphabet, Symbol};
-use crate::error::{Error, Result};
+use crate::alphabet::Alphabet;
 use crate::match_kernel::CandidateTrie;
 use crate::matrix::CompatibilityMatrix;
 use crate::miner::{MineOutcome, Provenance};
-use crate::pattern::{Pattern, PatternElem};
-
-/// Version of the payload encoding itself (bumped on layout changes;
-/// distinct from [`PatternModel::version`], which identifies the *data*
-/// the model was mined from).
-pub const PAYLOAD_VERSION: u32 = 1;
+use crate::pattern::Pattern;
 
 /// One mined pattern as frozen into a model.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,8 +33,8 @@ pub struct ModelPattern {
 /// A complete, self-contained pattern model.
 ///
 /// Equality of two models is equality of their canonical payloads
-/// (compare [`PatternModel::encode`] outputs — the encoding is
-/// byte-stable).
+/// (compare the serving crate's `model_io::encode_payload` outputs — the
+/// encoding is byte-stable).
 #[derive(Debug, Clone)]
 pub struct PatternModel {
     /// Monotone model version (e.g. the stream position it was mined at).
@@ -101,377 +92,5 @@ impl PatternModel {
     /// The bare patterns, in model order (the order kernel outputs use).
     pub fn plain_patterns(&self) -> Vec<Pattern> {
         self.patterns.iter().map(|p| p.pattern.clone()).collect()
-    }
-
-    /// Serializes the model to its canonical binary payload.
-    ///
-    /// Deterministic: the same model always yields the same bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1024);
-        put_u32(&mut out, PAYLOAD_VERSION);
-        put_u64(&mut out, self.version);
-        put_f64(&mut out, self.min_match);
-        // Alphabet: names in symbol order.
-        let m = self.alphabet.len();
-        put_u32(&mut out, m as u32);
-        for (_, name) in self.alphabet.iter() {
-            let bytes = name.as_bytes();
-            put_u32(&mut out, bytes.len() as u32);
-            out.extend_from_slice(bytes);
-        }
-        // Matrix: sparse columns (observed-major), entries in stored order.
-        for j in 0..m {
-            let col = self.matrix.column(Symbol(j as u16));
-            put_u32(&mut out, col.len() as u32);
-            for &(sym, w) in col {
-                put_u16(&mut out, sym.0);
-                put_f64(&mut out, w);
-            }
-        }
-        // Patterns.
-        put_u32(&mut out, self.patterns.len() as u32);
-        for mp in &self.patterns {
-            let elems = mp.pattern.elems();
-            put_u32(&mut out, elems.len() as u32);
-            for e in elems {
-                match e {
-                    PatternElem::Any => out.push(0),
-                    PatternElem::Sym(s) => {
-                        out.push(1);
-                        put_u16(&mut out, s.0);
-                    }
-                }
-            }
-            put_f64(&mut out, mp.match_estimate);
-            out.push(match mp.provenance {
-                Provenance::SampleConfident => 0,
-                Provenance::Verified => 1,
-                Provenance::Implied => 2,
-            });
-        }
-        put_u64(&mut out, self.trie_nodes);
-        out
-    }
-
-    /// Decodes a payload produced by [`PatternModel::encode`].
-    ///
-    /// Every failure carries a description of what was malformed and
-    /// where. The compiled trie's node count is re-derived and checked
-    /// against the stored metadata.
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let payload_version = r.u32("payload version")?;
-        if payload_version != PAYLOAD_VERSION {
-            return Err(model_err(format!(
-                "unsupported model payload version {payload_version} (this build reads {PAYLOAD_VERSION})"
-            )));
-        }
-        let version = r.u64("model version")?;
-        let min_match = r.f64("min_match")?;
-        if !(0.0..=1.0).contains(&min_match) {
-            return Err(model_err(format!("min_match {min_match} outside [0, 1]")));
-        }
-        let m = r.u32("alphabet size")? as usize;
-        if m == 0 || m > usize::from(u16::MAX) + 1 {
-            return Err(model_err(format!("alphabet size {m} out of range")));
-        }
-        let mut names = Vec::with_capacity(m);
-        for i in 0..m {
-            let len = r.u32("symbol name length")? as usize;
-            if len > 4096 {
-                return Err(model_err(format!(
-                    "symbol {i} name length {len} exceeds the 4096-byte cap"
-                )));
-            }
-            let raw = r.bytes(len, "symbol name")?;
-            let name = std::str::from_utf8(raw)
-                .map_err(|_| model_err(format!("symbol {i} name is not valid UTF-8")))?;
-            names.push(name.to_string());
-        }
-        let alphabet = Alphabet::new(names)?;
-        let mut columns = Vec::with_capacity(m);
-        for j in 0..m {
-            let entries = r.u32("matrix column entry count")? as usize;
-            if entries > m {
-                return Err(model_err(format!(
-                    "matrix column {j} has {entries} entries for an alphabet of {m}"
-                )));
-            }
-            let mut col = Vec::with_capacity(entries);
-            for _ in 0..entries {
-                let sym = r.u16("matrix entry symbol")?;
-                let w = r.f64("matrix entry weight")?;
-                col.push((Symbol(sym), w));
-            }
-            columns.push(col);
-        }
-        let matrix = CompatibilityMatrix::scores_from_sparse_columns(columns)?;
-        let count = r.u32("pattern count")? as usize;
-        let mut patterns = Vec::with_capacity(count.min(1 << 20));
-        for i in 0..count {
-            let elems_len = r.u32("pattern length")? as usize;
-            if elems_len == 0 || elems_len > 1 << 20 {
-                return Err(model_err(format!(
-                    "pattern {i} length {elems_len} out of range"
-                )));
-            }
-            let mut elems = Vec::with_capacity(elems_len);
-            for _ in 0..elems_len {
-                match r.u8("pattern element tag")? {
-                    0 => elems.push(PatternElem::Any),
-                    1 => {
-                        let s = r.u16("pattern symbol")?;
-                        if usize::from(s) >= m {
-                            return Err(model_err(format!(
-                                "pattern {i} references symbol id {s} outside the {m}-symbol alphabet"
-                            )));
-                        }
-                        elems.push(PatternElem::Sym(Symbol(s)));
-                    }
-                    t => {
-                        return Err(model_err(format!(
-                            "pattern {i} has unknown element tag {t}"
-                        )))
-                    }
-                }
-            }
-            let pattern = Pattern::new(elems)?;
-            let match_estimate = r.f64("match estimate")?;
-            let provenance = match r.u8("provenance tag")? {
-                0 => Provenance::SampleConfident,
-                1 => Provenance::Verified,
-                2 => Provenance::Implied,
-                t => {
-                    return Err(model_err(format!(
-                        "pattern {i} has unknown provenance tag {t}"
-                    )))
-                }
-            };
-            patterns.push(ModelPattern {
-                pattern,
-                match_estimate,
-                provenance,
-            });
-        }
-        let trie_nodes = r.u64("trie node count")?;
-        r.finish()?;
-        let model = Self {
-            version,
-            min_match,
-            alphabet,
-            matrix,
-            patterns,
-            trie_nodes,
-        };
-        let plain = model.plain_patterns();
-        let actual = if plain.is_empty() {
-            0
-        } else {
-            CandidateTrie::new(&plain).num_nodes() as u64
-        };
-        if actual != model.trie_nodes {
-            return Err(model_err(format!(
-                "compiled trie has {actual} nodes but the model metadata recorded {}",
-                model.trie_nodes
-            )));
-        }
-        Ok(model)
-    }
-}
-
-fn model_err(msg: String) -> Error {
-    Error::InvalidConfig(format!("pattern model: {msg}"))
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// A bounds-checked little-endian payload reader with contextual errors.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(model_err(format!(
-                "truncated while reading {what} at byte {} (need {n} bytes, {} left)",
-                self.pos,
-                self.bytes.len() - self.pos
-            )));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.bytes(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16> {
-        let b = self.bytes(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32> {
-        let b = self.bytes(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64> {
-        let b = self.bytes(8, what)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn finish(&self) -> Result<()> {
-        if self.pos != self.bytes.len() {
-            return Err(model_err(format!(
-                "{} trailing bytes after the model payload",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lattice::Border;
-    use crate::miner::{FrequentPattern, MineStats};
-
-    fn sample_model() -> PatternModel {
-        let alphabet = Alphabet::synthetic(6);
-        let matrix = CompatibilityMatrix::uniform_noise(6, 0.2)
-            .unwrap()
-            .diagonal_normalized_clamped()
-            .unwrap();
-        let p1 = Pattern::contiguous(&[Symbol(0), Symbol(1), Symbol(2)]).unwrap();
-        let p2 = Pattern::new(vec![
-            PatternElem::Sym(Symbol(3)),
-            PatternElem::Any,
-            PatternElem::Sym(Symbol(4)),
-        ])
-        .unwrap();
-        let outcome = MineOutcome {
-            frequent: vec![
-                FrequentPattern {
-                    pattern: p1,
-                    match_estimate: 0.625,
-                    provenance: Provenance::Verified,
-                },
-                FrequentPattern {
-                    pattern: p2,
-                    match_estimate: 0.1875,
-                    provenance: Provenance::Implied,
-                },
-            ],
-            border: Border::default(),
-            symbol_match: vec![0.5; 6],
-            stats: MineStats::default(),
-        };
-        PatternModel::from_outcome(&outcome, &alphabet, &matrix, 0.125, 42)
-    }
-
-    #[test]
-    fn encode_is_byte_stable() {
-        let model = sample_model();
-        assert_eq!(model.encode(), model.encode());
-    }
-
-    #[test]
-    fn round_trips_exactly() {
-        let model = sample_model();
-        let bytes = model.encode();
-        let back = PatternModel::decode(&bytes).unwrap();
-        assert_eq!(back.encode(), bytes);
-        assert_eq!(back.version, model.version);
-        assert_eq!(back.patterns.len(), model.patterns.len());
-    }
-
-    #[test]
-    fn round_trips_non_stochastic_matrix() {
-        // diagonal_normalized produces a *score* matrix whose columns do
-        // not sum to 1 — the payload must survive it.
-        let model = sample_model();
-        assert!(PatternModel::decode(&model.encode()).is_ok());
-    }
-
-    #[test]
-    fn rejects_truncation_with_context() {
-        let model = sample_model();
-        let bytes = model.encode();
-        let err = PatternModel::decode(&bytes[..bytes.len() - 3]).unwrap_err();
-        assert!(err.to_string().contains("truncated"), "{err}");
-    }
-
-    #[test]
-    fn rejects_trailing_garbage() {
-        let model = sample_model();
-        let mut bytes = model.encode();
-        bytes.extend_from_slice(&[0, 1, 2]);
-        let err = PatternModel::decode(&bytes).unwrap_err();
-        assert!(err.to_string().contains("trailing"), "{err}");
-    }
-
-    #[test]
-    fn rejects_wrong_trie_metadata() {
-        let model = sample_model();
-        let mut bytes = model.encode();
-        let n = bytes.len();
-        // trie_nodes is the final u64; nudge it.
-        bytes[n - 8] ^= 1;
-        let err = PatternModel::decode(&bytes).unwrap_err();
-        assert!(err.to_string().contains("trie"), "{err}");
-    }
-
-    #[test]
-    fn rejects_unknown_payload_version() {
-        let model = sample_model();
-        let mut bytes = model.encode();
-        bytes[0] = 99;
-        let err = PatternModel::decode(&bytes).unwrap_err();
-        assert!(err.to_string().contains("payload version"), "{err}");
-    }
-
-    #[test]
-    fn empty_pattern_set_round_trips() {
-        let alphabet = Alphabet::synthetic(3);
-        let matrix = CompatibilityMatrix::identity(3);
-        let outcome = MineOutcome {
-            frequent: Vec::new(),
-            border: Border::default(),
-            symbol_match: vec![0.0; 3],
-            stats: MineStats::default(),
-        };
-        let model = PatternModel::from_outcome(&outcome, &alphabet, &matrix, 0.5, 1);
-        assert_eq!(model.trie_nodes, 0);
-        let back = PatternModel::decode(&model.encode()).unwrap();
-        assert_eq!(back.encode(), model.encode());
     }
 }

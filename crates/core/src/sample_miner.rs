@@ -16,7 +16,7 @@ use crate::candidates::{next_level, LevelTrace, PatternSpace};
 use crate::chernoff::{classify, epsilon, Label, SpreadMode};
 use crate::lattice::Border;
 use crate::match_kernel::MatchKernel;
-use crate::matching::{try_sum_matches, SequenceScan};
+use crate::matching::try_sum_matches;
 use crate::matrix::CompatibilityMatrix;
 use crate::parallel::CHUNK_SIZE;
 use crate::pattern::Pattern;
@@ -248,7 +248,7 @@ fn sample_matches(
     let n = sample.len().max(1) as f64;
     let mut totals = try_sum_matches(
         patterns,
-        &SampleView(sample),
+        sample,
         matrix,
         threads,
         kernel,
@@ -261,20 +261,6 @@ fn sample_matches(
         *t /= n;
     }
     totals
-}
-
-/// The phase-1 sample, borrowed as a [`SequenceScan`] for the block engine.
-struct SampleView<'a>(&'a [Vec<Symbol>]);
-
-impl SequenceScan for SampleView<'_> {
-    fn num_sequences(&self) -> usize {
-        self.0.len()
-    }
-    fn scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) {
-        for (i, s) in self.0.iter().enumerate() {
-            visit(i as u64, s);
-        }
-    }
 }
 
 fn record(result: &mut SampleMineResult, pattern: Pattern, value: f64, label: Label) {

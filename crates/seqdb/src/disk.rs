@@ -53,6 +53,7 @@ use std::time::Duration;
 use noisemine_core::matching::SequenceScan;
 use noisemine_core::{ScanError, ScanErrorKind, Symbol};
 
+use crate::bytes::{ByteReader, ByteWriter};
 use crate::crc::Crc32c;
 use crate::fault::{FaultPlan, FaultPolicy, FaultyRead, QuarantinedRecord};
 
@@ -142,44 +143,16 @@ fn io_scan_error(e: &io::Error, pos: u64) -> ScanError {
     ScanError::new(classify_io(e), e.to_string()).at_offset(pos)
 }
 
-fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-
-fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-}
-
-/// The byte source a scan reads from: the plain file, or the file behind a
-/// fault-injection wrapper.
-enum ScanSource {
-    Plain(File),
-    Faulty(FaultyRead<File>),
-}
-
-impl Read for ScanSource {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ScanSource::Plain(f) => f.read(buf),
-            ScanSource::Faulty(f) => f.read(buf),
-        }
-    }
-}
-
-impl Seek for ScanSource {
-    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        match self {
-            ScanSource::Plain(f) => f.seek(pos),
-            ScanSource::Faulty(f) => f.seek(pos),
-        }
-    }
-}
+/// `expect` reason for a field read from a buffer sized to hold it.
+const FIXED: &str = "a fixed-size field fits its buffer";
 
 /// A buffered reader that tracks its absolute position, retries transient
 /// faults per the active policy, and restores its position on failed reads
 /// so callers can resynchronize.
 struct RetryReader {
-    inner: BufReader<ScanSource>,
+    /// The file as the fault plan lets it be seen (as it is, under the
+    /// empty plan every database outside the chaos harness has).
+    inner: BufReader<FaultyRead<File>>,
     /// Absolute offset of the next byte a successful read returns. Kept
     /// valid across failed reads by rewinding in the error path.
     pos: u64,
@@ -246,29 +219,70 @@ impl RetryReader {
     }
 }
 
-/// Decodes one v2 record at the reader's current position. On success the
-/// symbols are in `symbols`, the raw data bytes in `raw`, and the record's
-/// bytes have been folded into `file_crc` (when given). Errors carry the
-/// record's start offset and `index`.
-fn read_record_v2(
+/// The fixed-size header every format version starts with.
+struct Header {
+    raw: [u8; HEADER_LEN as usize],
+    magic_ok: bool,
+    version: u32,
+    count: u64,
+}
+
+/// Reads the header at the reader's position (the start of the file).
+fn read_header(reader: &mut RetryReader) -> Result<Header, ScanError> {
+    let mut raw = [0u8; HEADER_LEN as usize];
+    reader.read_exact(&mut raw)?;
+    let mut r = ByteReader::new(&raw);
+    let magic_ok = r.take(8, "magic").expect(FIXED) == MAGIC;
+    let version = r.u32("version").expect(FIXED);
+    let count = r.u64("count").expect(FIXED);
+    Ok(Header {
+        raw,
+        magic_ok,
+        version,
+        count,
+    })
+}
+
+/// Record head length: id + len, plus the CRC on checksummed (v2) files.
+fn head_len(checksummed: bool) -> u64 {
+    if checksummed {
+        V2_HEAD_LEN
+    } else {
+        V1_HEAD_LEN
+    }
+}
+
+/// Decodes a record head into its id and symbol count; a v2 head's CRC
+/// follows at byte 12.
+fn parse_head(head: &[u8]) -> (u64, u64) {
+    let mut r = ByteReader::new(head);
+    let id = r.u64("record id").expect(FIXED);
+    (id, r.u32("record length").expect(FIXED).into())
+}
+
+/// Decodes one record at the reader's current position, verifying its CRC
+/// when `checksummed` (format v2). On success the symbols are in
+/// `symbols`, the raw data bytes in `raw`, and the record's bytes have been
+/// folded into `file_crc` (when given). Errors carry the record's start
+/// offset and `index`.
+fn read_record(
     reader: &mut RetryReader,
     index: u64,
     file_len: u64,
+    checksummed: bool,
     symbols: &mut Vec<Symbol>,
     raw: &mut Vec<u8>,
     file_crc: Option<&mut Crc32c>,
 ) -> Result<u64, ScanError> {
     let start = reader.pos();
-    let mut head = [0u8; V2_HEAD_LEN as usize];
-    reader
-        .read_exact(&mut head)
-        .map_err(|e| e.at_record(index))?;
-    let id = le_u64(&head[..8]);
-    let len = le_u32(&head[8..12]) as u64;
-    let stored = le_u32(&head[12..16]);
+    let head_len = head_len(checksummed);
+    let mut buf = [0u8; V2_HEAD_LEN as usize];
+    let head = &mut buf[..head_len as usize];
+    reader.read_exact(head).map_err(|e| e.at_record(index))?;
+    let (id, len) = parse_head(head);
     // Bound the length before allocating: a corrupt length field must not
     // trigger a huge allocation or a long bogus read.
-    if start + V2_HEAD_LEN + len * 2 > file_len {
+    if start + head_len + len * 2 > file_len {
         return Err(ScanError::new(
             ScanErrorKind::Corrupt,
             format!("record length {len} overruns the file"),
@@ -278,22 +292,27 @@ fn read_record_v2(
     }
     raw.resize((len * 2) as usize, 0);
     reader.read_exact(raw).map_err(|e| e.at_record(index))?;
-    let mut crc = Crc32c::new();
-    crc.update(&head[..12]);
-    crc.update(raw);
-    let computed = crc.finish();
-    if computed != stored {
-        crate::obs::fault_crc_failures().inc();
-        return Err(ScanError::new(
-            ScanErrorKind::Corrupt,
-            format!("record checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"),
-        )
-        .at_offset(start)
-        .at_record(index));
-    }
-    if let Some(fc) = file_crc {
-        fc.update(&head);
-        fc.update(raw);
+    if checksummed {
+        let stored = ByteReader::new(&head[12..]).u32("record crc").expect(FIXED);
+        let mut crc = Crc32c::new();
+        crc.update(&head[..12]);
+        crc.update(raw);
+        let computed = crc.finish();
+        if computed != stored {
+            crate::obs::fault_crc_failures().inc();
+            return Err(ScanError::new(
+                ScanErrorKind::Corrupt,
+                format!(
+                    "record checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
+                ),
+            )
+            .at_offset(start)
+            .at_record(index));
+        }
+        if let Some(fc) = file_crc {
+            fc.update(head);
+            fc.update(raw);
+        }
     }
     symbols.clear();
     symbols.extend(
@@ -303,37 +322,18 @@ fn read_record_v2(
     Ok(id)
 }
 
-/// Decodes one v1 record (no checksum) at the reader's current position.
-fn read_record_v1(
-    reader: &mut RetryReader,
-    index: u64,
-    file_len: u64,
-    symbols: &mut Vec<Symbol>,
-    raw: &mut Vec<u8>,
-) -> Result<u64, ScanError> {
-    let start = reader.pos();
-    let mut head = [0u8; V1_HEAD_LEN as usize];
-    reader
-        .read_exact(&mut head)
-        .map_err(|e| e.at_record(index))?;
-    let id = le_u64(&head[..8]);
-    let len = le_u32(&head[8..12]) as u64;
-    if start + V1_HEAD_LEN + len * 2 > file_len {
-        return Err(ScanError::new(
-            ScanErrorKind::Corrupt,
-            format!("record length {len} overruns the file"),
-        )
-        .at_offset(start)
-        .at_record(index));
+/// Whether the v2 footer starts at `pos`: exactly [`FOOTER_LEN`] bytes
+/// remain and they open with the footer magic. Checked before decoding a
+/// record there, since a genuine footer carries no record CRC and would
+/// otherwise read as a corrupt record.
+fn footer_at(reader: &mut RetryReader, pos: u64, file_len: u64) -> Result<bool, ScanError> {
+    if file_len - pos != FOOTER_LEN {
+        return Ok(false);
     }
-    raw.resize((len * 2) as usize, 0);
-    reader.read_exact(raw).map_err(|e| e.at_record(index))?;
-    symbols.clear();
-    symbols.extend(
-        raw.chunks_exact(2)
-            .map(|c| Symbol(u16::from_le_bytes([c[0], c[1]]))),
-    );
-    Ok(id)
+    reader.seek_to(pos)?;
+    let mut magic = [0u8; 8];
+    reader.read_exact(&mut magic)?;
+    Ok(&magic == FOOTER_MAGIC)
 }
 
 /// The result of the quarantine census: which byte ranges to skip, where
@@ -344,8 +344,7 @@ struct Census {
     /// Offset one past the last record byte (start of the footer on an
     /// intact v2 file).
     records_end: u64,
-    /// Half-open `(start, end)` byte ranges to skip, in file order.
-    bad_ranges: Vec<(u64, u64)>,
+    /// The byte ranges to skip, in file order.
     quarantined: Vec<QuarantinedRecord>,
 }
 
@@ -381,8 +380,8 @@ impl DiskDbWriter {
         let mut out = BufWriter::new(file);
         let mut header = Vec::with_capacity(HEADER_LEN as usize);
         header.extend_from_slice(MAGIC);
-        header.extend_from_slice(&version.to_le_bytes());
-        header.extend_from_slice(&0u64.to_le_bytes()); // count placeholder
+        header.put_u32(version);
+        header.put_u64(0); // count placeholder
         out.write_all(&header)?;
         Ok(Self {
             out,
@@ -405,11 +404,7 @@ impl DiskDbWriter {
         let existing = DiskDb::open(&path)?;
         let count = existing.count;
         let version = existing.version;
-        let head_len = if version == VERSION_V1 {
-            V1_HEAD_LEN
-        } else {
-            V2_HEAD_LEN
-        } as usize;
+        let head_len = head_len(version != VERSION_V1) as usize;
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         // Walk the record heads to find the end of the last counted record;
         // everything after it (footer, torn tail) is discarded and will be
@@ -423,7 +418,7 @@ impl DiskDbWriter {
                 reader
                     .read_exact(&mut head[..head_len])
                     .map_err(|e| DiskError::Format(format!("truncated record {i}: {e}")))?;
-                let len = le_u32(&head[8..12]) as u64;
+                let (_, len) = parse_head(&head[..head_len]);
                 pos += head_len as u64 + len * 2;
                 reader.seek(SeekFrom::Start(pos))?;
             }
@@ -448,16 +443,16 @@ impl DiskDbWriter {
     pub fn write_sequence(&mut self, id: u64, symbols: &[Symbol]) -> DiskResult<()> {
         let mut data = Vec::with_capacity(symbols.len() * 2);
         for s in symbols {
-            data.extend_from_slice(&s.0.to_le_bytes());
+            data.put_u16(s.0);
         }
         let mut buf = Vec::with_capacity(V2_HEAD_LEN as usize + data.len());
-        buf.extend_from_slice(&id.to_le_bytes());
-        buf.extend_from_slice(&(symbols.len() as u32).to_le_bytes());
+        buf.put_u64(id);
+        buf.put_u32(symbols.len() as u32);
         if self.version != VERSION_V1 {
             let mut crc = Crc32c::new();
             crc.update(&buf);
             crc.update(&data);
-            buf.extend_from_slice(&crc.finish().to_le_bytes());
+            buf.put_u32(crc.finish());
         }
         buf.extend_from_slice(&data);
         self.out.write_all(&buf)?;
@@ -491,9 +486,9 @@ impl DiskDbWriter {
             }
             let mut footer = Vec::with_capacity(FOOTER_LEN as usize);
             footer.extend_from_slice(FOOTER_MAGIC);
-            footer.extend_from_slice(&self.count.to_le_bytes());
+            footer.put_u64(self.count);
             crc.update(&footer);
-            footer.extend_from_slice(&crc.finish().to_le_bytes());
+            footer.put_u32(crc.finish());
             file.write_all_at(&footer, end)?;
         }
         file.sync_all()?;
@@ -516,7 +511,7 @@ pub struct DiskDb {
     count: u64,
     version: u32,
     policy: FaultPolicy,
-    plan: Option<FaultPlan>,
+    plan: FaultPlan,
     census: Option<Census>,
     scans: AtomicUsize,
 }
@@ -524,7 +519,7 @@ pub struct DiskDb {
 impl DiskDb {
     /// Opens an existing database file under [`FaultPolicy::Strict`].
     pub fn open(path: impl AsRef<Path>) -> DiskResult<Self> {
-        Self::open_opts(path, FaultPolicy::Strict, None)
+        Self::open_opts(path, FaultPolicy::Strict, FaultPlan::new())
     }
 
     /// Opens an existing database file under `policy`. Under
@@ -533,7 +528,7 @@ impl DiskDb {
     /// [`SequenceScan::num_sequences`] and every subsequent scan agree on
     /// the surviving subset.
     pub fn open_with_policy(path: impl AsRef<Path>, policy: FaultPolicy) -> DiskResult<Self> {
-        Self::open_opts(path, policy, None)
+        Self::open_opts(path, policy, FaultPlan::new())
     }
 
     /// Full-control constructor: `plan` (used by
@@ -542,7 +537,7 @@ impl DiskDb {
     pub(crate) fn open_opts(
         path: impl AsRef<Path>,
         policy: FaultPolicy,
-        plan: Option<FaultPlan>,
+        plan: FaultPlan,
     ) -> DiskResult<Self> {
         let path = path.as_ref().to_path_buf();
         let mut db = Self {
@@ -554,20 +549,18 @@ impl DiskDb {
             census: None,
             scans: AtomicUsize::new(0),
         };
-        let mut reader = db.retry_reader().map_err(DiskError::from)?;
-        let mut header = [0u8; HEADER_LEN as usize];
-        reader.read_exact(&mut header).map_err(DiskError::from)?;
-        if &header[..8] != MAGIC {
+        let header = read_header(&mut db.retry_reader()?)?;
+        if !header.magic_ok {
             return Err(DiskError::Format("bad magic; not a noisemine seqdb".into()));
         }
-        let version = le_u32(&header[8..12]);
+        let version = header.version;
         if version != VERSION && version != VERSION_V1 {
             return Err(DiskError::Format(format!(
                 "unsupported version {version}, expected {VERSION_V1} or {VERSION}"
             )));
         }
         db.version = version;
-        db.count = le_u64(&header[12..20]);
+        db.count = header.count;
         if matches!(db.policy, FaultPolicy::Quarantine) {
             let census = db.run_census()?;
             db.count = census.survivors;
@@ -629,27 +622,23 @@ impl DiskDb {
         let len = std::fs::metadata(&self.path)
             .map_err(|e| io_scan_error(&e, 0))?
             .len();
-        Ok(match self.plan.as_ref().and_then(|p| p.truncate_at()) {
+        Ok(match self.plan.truncate_at() {
             Some(t) => len.min(t),
             None => len,
         })
     }
 
     /// Opens a fresh reader for one scan pass, wired through the fault
-    /// plan (if any) and granted the policy's transient-retry budget.
+    /// plan and granted the policy's transient-retry budget.
     fn retry_reader(&self) -> Result<RetryReader, ScanError> {
         let file = File::open(&self.path).map_err(|e| io_scan_error(&e, 0))?;
-        let source = match &self.plan {
-            Some(plan) => ScanSource::Faulty(plan.wrap(file)),
-            None => ScanSource::Plain(file),
-        };
         let (attempts, backoff) = match self.policy {
             FaultPolicy::Strict => (0, Duration::ZERO),
             FaultPolicy::Retry { attempts, backoff } => (attempts, backoff),
             FaultPolicy::Quarantine => (QUARANTINE_TRANSIENT_ATTEMPTS, Duration::ZERO),
         };
         Ok(RetryReader {
-            inner: BufReader::with_capacity(1 << 20, source),
+            inner: BufReader::with_capacity(1 << 20, self.plan.wrap(file)),
             pos: 0,
             bytes_read: 0,
             attempts,
@@ -657,117 +646,69 @@ impl DiskDb {
         })
     }
 
-    /// Strict/retry scan of a v2 file: every record CRC, the footer, and
-    /// the whole-file checksum are verified; the first failure aborts.
-    fn scan_v2(&self, visit: &mut dyn FnMut(u64, &[Symbol])) -> Result<(), ScanError> {
+    /// One scan pass under the active policy. Strict and retry scans
+    /// validate as they go: the header, every record (and on v2 its CRC),
+    /// then the v2 footer and whole-file checksum; the first failure
+    /// aborts. Bytes past the counted records are tolerated on v1 (legacy
+    /// semantics). Under `Quarantine` the census has already classified
+    /// the file, so the scan skips its bad ranges and stops where its
+    /// records end; a record that fails to decode then means the file
+    /// changed since the census, surfaced as corruption rather than
+    /// silently diverging from the reported survivor count.
+    fn scan_records(&self, visit: &mut dyn FnMut(u64, &[Symbol])) -> Result<(), ScanError> {
         let file_len = self.effective_len()?;
         let mut reader = self.retry_reader()?;
-        let mut header = [0u8; HEADER_LEN as usize];
-        reader.read_exact(&mut header)?;
-        if &header[..8] != MAGIC {
-            return Err(
-                ScanError::new(ScanErrorKind::Corrupt, "bad magic; not a noisemine seqdb")
-                    .at_offset(0),
-            );
-        }
-        if le_u32(&header[8..12]) != VERSION {
-            return Err(ScanError::new(
-                ScanErrorKind::Corrupt,
-                format!("header version is not {VERSION}"),
-            )
-            .at_offset(8));
-        }
-        // Count as the header reads *now* — the open-time count may lag a
-        // legitimate append (see `SequenceScan::num_sequences`).
-        let count = le_u64(&header[12..20]);
-        let mut crc = Crc32c::new();
-        crc.update(&header);
+        let header = read_header(&mut reader)?;
+        let checksummed = self.version != VERSION_V1;
+        let (skipped, records_end, count) = match &self.census {
+            Some(census) => (census.quarantined.as_slice(), census.records_end, u64::MAX),
+            None => {
+                if !header.magic_ok {
+                    return Err(ScanError::new(
+                        ScanErrorKind::Corrupt,
+                        "bad magic; not a noisemine seqdb",
+                    )
+                    .at_offset(0));
+                }
+                if checksummed && header.version != VERSION {
+                    return Err(ScanError::new(
+                        ScanErrorKind::Corrupt,
+                        format!("header version is not {VERSION}"),
+                    )
+                    .at_offset(8));
+                }
+                // Count as the header reads *now* — the open-time count may
+                // lag a legitimate append (see `SequenceScan::num_sequences`).
+                (&[][..], u64::MAX, header.count)
+            }
+        };
+        let verify_file = checksummed && self.census.is_none();
+        let mut file_crc = Crc32c::new();
+        file_crc.update(&header.raw);
         let mut symbols: Vec<Symbol> = Vec::new();
         let mut raw: Vec<u8> = Vec::new();
-        for i in 0..count {
-            let id = read_record_v2(
+        let mut bad = skipped.iter().peekable();
+        let mut index = 0u64;
+        while index < count && reader.pos() < records_end {
+            if let Some(q) = bad.next_if(|q| q.offset == reader.pos()) {
+                reader.seek_to(q.offset + q.skipped)?;
+                index += 1;
+                continue;
+            }
+            let id = read_record(
                 &mut reader,
-                i,
+                index,
                 file_len,
+                checksummed,
                 &mut symbols,
                 &mut raw,
-                Some(&mut crc),
+                verify_file.then_some(&mut file_crc),
             )?;
+            index += 1;
             visit(id, &symbols);
         }
-        // The footer check is unconditional — even a count of zero must be
-        // pinned, since a single bit flip can turn a real count into zero.
-        let foot_pos = reader.pos();
-        let mut footer = [0u8; FOOTER_LEN as usize];
-        reader.read_exact(&mut footer).map_err(|e| {
-            if e.kind() == ScanErrorKind::Truncated {
-                ScanError::new(
-                    ScanErrorKind::Corrupt,
-                    "missing footer (file truncated, or writer never finished)",
-                )
-                .at_offset(foot_pos)
-            } else {
-                e
-            }
-        })?;
-        if &footer[..8] != FOOTER_MAGIC {
-            return Err(
-                ScanError::new(ScanErrorKind::Corrupt, "missing or corrupt footer")
-                    .at_offset(foot_pos),
-            );
-        }
-        let foot_count = le_u64(&footer[8..16]);
-        if foot_count != count {
-            return Err(ScanError::new(
-                ScanErrorKind::Corrupt,
-                format!("footer count {foot_count} does not match header count {count}"),
-            )
-            .at_offset(foot_pos + 8));
-        }
-        crc.update(&footer[..16]);
-        let stored = le_u32(&footer[16..20]);
-        let computed = crc.finish();
-        if computed != stored {
-            crate::obs::fault_crc_failures().inc();
-            return Err(ScanError::new(
-                ScanErrorKind::Corrupt,
-                format!(
-                    "file checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
-                ),
-            )
-            .at_offset(foot_pos + 16));
-        }
-        if reader.pos() != file_len {
-            return Err(ScanError::new(
-                ScanErrorKind::Corrupt,
-                format!("{} trailing bytes after footer", file_len - reader.pos()),
-            )
-            .at_offset(reader.pos()));
-        }
-        crate::obs::disk_bytes_read().add(reader.bytes_read());
-        Ok(())
-    }
-
-    /// Strict/retry scan of a v1 file: structural walk of the counted
-    /// records; no checksums exist to verify. Bytes past the counted
-    /// records are tolerated (legacy semantics).
-    fn scan_v1(&self, visit: &mut dyn FnMut(u64, &[Symbol])) -> Result<(), ScanError> {
-        let file_len = self.effective_len()?;
-        let mut reader = self.retry_reader()?;
-        let mut header = [0u8; HEADER_LEN as usize];
-        reader.read_exact(&mut header)?;
-        if &header[..8] != MAGIC {
-            return Err(
-                ScanError::new(ScanErrorKind::Corrupt, "bad magic; not a noisemine seqdb")
-                    .at_offset(0),
-            );
-        }
-        let count = le_u64(&header[12..20]);
-        let mut symbols: Vec<Symbol> = Vec::new();
-        let mut raw: Vec<u8> = Vec::new();
-        for i in 0..count {
-            let id = read_record_v1(&mut reader, i, file_len, &mut symbols, &mut raw)?;
-            visit(id, &symbols);
+        if verify_file {
+            check_footer(&mut reader, count, file_crc, file_len)?;
         }
         crate::obs::disk_bytes_read().add(reader.bytes_read());
         Ok(())
@@ -777,161 +718,134 @@ impl DiskDb {
     /// byte of the file as record, footer, or quarantined. Scans under
     /// `Quarantine` then skip the bad ranges, so the visit stream is
     /// identical to a clean database holding only the survivors.
+    ///
+    /// v1 has no checksums to resynchronize on: the census walks the
+    /// counted records and quarantines everything from the first
+    /// undecodable record onward. v2 ignores the (unprotected-by-itself)
+    /// header count and walks the checksummed records until the footer or
+    /// EOF, sweeping forward past anything that fails validation.
     fn run_census(&self) -> DiskResult<Census> {
-        let file_len = self.effective_len().map_err(DiskError::from)?;
-        let mut reader = self.retry_reader().map_err(DiskError::from)?;
-        let mut header = [0u8; HEADER_LEN as usize];
-        reader.read_exact(&mut header).map_err(DiskError::from)?;
+        let file_len = self.effective_len()?;
+        let mut reader = self.retry_reader()?;
+        let header = read_header(&mut reader)?;
+        let checksummed = self.version != VERSION_V1;
         let mut symbols: Vec<Symbol> = Vec::new();
         let mut raw: Vec<u8> = Vec::new();
         let mut survivors = 0u64;
-        let mut bad_ranges: Vec<(u64, u64)> = Vec::new();
         let mut quarantined: Vec<QuarantinedRecord> = Vec::new();
         let mut index = 0u64;
-        let records_end;
-        if self.version == VERSION_V1 {
-            // v1 has no checksums to resynchronize on: walk the counted
-            // records structurally and quarantine everything from the
-            // first undecodable record onward.
-            let count = le_u64(&header[12..20]);
-            let mut end = HEADER_LEN;
-            for i in 0..count {
-                match read_record_v1(&mut reader, i, file_len, &mut symbols, &mut raw) {
-                    Ok(_) => {
-                        survivors += 1;
-                        end = reader.pos();
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            ScanErrorKind::Corrupt | ScanErrorKind::Truncated
-                        ) =>
-                    {
-                        crate::obs::fault_quarantined().inc();
-                        quarantined.push(QuarantinedRecord {
-                            index: i,
-                            offset: end,
-                            skipped: file_len - end,
-                        });
+        let mut pos = HEADER_LEN;
+        loop {
+            let done = if checksummed {
+                pos >= file_len || footer_at(&mut reader, pos, file_len)?
+            } else {
+                index >= header.count
+            };
+            if done {
+                break;
+            }
+            reader.seek_to(pos)?;
+            match read_record(
+                &mut reader,
+                index,
+                file_len,
+                checksummed,
+                &mut symbols,
+                &mut raw,
+                None,
+            ) {
+                Ok(_) => {
+                    survivors += 1;
+                    pos = reader.pos();
+                }
+                Err(e) if matches!(e.kind(), ScanErrorKind::Corrupt | ScanErrorKind::Truncated) => {
+                    let end = if checksummed {
+                        crate::obs::fault_resyncs().inc();
+                        resync(&mut reader, pos, file_len)?.unwrap_or(file_len)
+                    } else {
+                        file_len
+                    };
+                    crate::obs::fault_quarantined().inc();
+                    quarantined.push(QuarantinedRecord {
+                        index,
+                        offset: pos,
+                        skipped: end - pos,
+                    });
+                    pos = end;
+                    if !checksummed {
                         break;
                     }
-                    Err(e) => return Err(e.into()),
                 }
+                // Persistent transient / hard I/O: quarantine handles
+                // *corruption*; an unreadable device stays fatal.
+                Err(e) => return Err(e.into()),
             }
-            records_end = end;
-        } else {
-            // v2: ignore the (unprotected-by-itself) header count and walk
-            // the checksummed records until the footer or EOF, sweeping
-            // forward past anything that fails validation.
-            let mut pos = HEADER_LEN;
-            records_end = loop {
-                if pos >= file_len {
-                    break pos.min(file_len);
-                }
-                if file_len - pos == FOOTER_LEN {
-                    // Footer-first: a genuine footer would otherwise be
-                    // misread as a corrupt record (its bytes carry no
-                    // record CRC).
-                    reader.seek_to(pos).map_err(DiskError::from)?;
-                    let mut magic = [0u8; 8];
-                    reader.read_exact(&mut magic).map_err(DiskError::from)?;
-                    if &magic == FOOTER_MAGIC {
-                        break pos;
-                    }
-                }
-                reader.seek_to(pos).map_err(DiskError::from)?;
-                match read_record_v2(&mut reader, index, file_len, &mut symbols, &mut raw, None) {
-                    Ok(_) => {
-                        survivors += 1;
-                        index += 1;
-                        pos = reader.pos();
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            ScanErrorKind::Corrupt | ScanErrorKind::Truncated
-                        ) =>
-                    {
-                        crate::obs::fault_resyncs().inc();
-                        let next = resync(&mut reader, pos, file_len).map_err(DiskError::from)?;
-                        let end = next.unwrap_or(file_len);
-                        crate::obs::fault_quarantined().inc();
-                        quarantined.push(QuarantinedRecord {
-                            index,
-                            offset: pos,
-                            skipped: end - pos,
-                        });
-                        bad_ranges.push((pos, end));
-                        index += 1;
-                        pos = end;
-                    }
-                    // Persistent transient / hard I/O: quarantine handles
-                    // *corruption*; an unreadable device stays fatal.
-                    Err(e) => return Err(e.into()),
-                }
-            };
+            index += 1;
         }
         Ok(Census {
             survivors,
-            records_end,
-            bad_ranges,
+            records_end: pos.min(file_len),
             quarantined,
         })
     }
+}
 
-    /// Scan under `Quarantine`: replays the census's classification,
-    /// skipping the quarantined ranges. A record that fails to decode here
-    /// means the file changed since the census — surfaced as corruption
-    /// rather than silently diverging from the reported survivor count.
-    fn scan_quarantined(&self, visit: &mut dyn FnMut(u64, &[Symbol])) -> Result<(), ScanError> {
-        let census = match &self.census {
-            Some(c) => c,
-            None => {
-                return Err(ScanError::new(
-                    ScanErrorKind::Io,
-                    "quarantine scan without a census",
-                ))
-            }
-        };
-        let file_len = self.effective_len()?;
-        let mut reader = self.retry_reader()?;
-        let mut header = [0u8; HEADER_LEN as usize];
-        reader.read_exact(&mut header)?;
-        let mut symbols: Vec<Symbol> = Vec::new();
-        let mut raw: Vec<u8> = Vec::new();
-        let mut bad = census.bad_ranges.iter().peekable();
-        let mut index = 0u64;
-        while reader.pos() < census.records_end {
-            if let Some(&&(start, end)) = bad.peek() {
-                if start == reader.pos() {
-                    reader.seek_to(end)?;
-                    bad.next();
-                    index += 1;
-                    continue;
-                }
-            }
-            let id = if self.version == VERSION_V1 {
-                read_record_v1(&mut reader, index, file_len, &mut symbols, &mut raw)?
-            } else {
-                read_record_v2(&mut reader, index, file_len, &mut symbols, &mut raw, None)?
-            };
-            index += 1;
-            visit(id, &symbols);
-        }
-        crate::obs::disk_bytes_read().add(reader.bytes_read());
-        Ok(())
-    }
-
-    /// One scan pass under the active policy.
-    fn scan_records(&self, visit: &mut dyn FnMut(u64, &[Symbol])) -> Result<(), ScanError> {
-        if matches!(self.policy, FaultPolicy::Quarantine) {
-            self.scan_quarantined(visit)
-        } else if self.version == VERSION_V1 {
-            self.scan_v1(visit)
+/// Verifies the v2 footer at the reader's position against the header
+/// `count` and the running whole-file checksum `crc`, and that nothing
+/// follows it. The check is unconditional — even a count of zero must be
+/// pinned, since a single bit flip can turn a real count into zero.
+fn check_footer(
+    reader: &mut RetryReader,
+    count: u64,
+    mut crc: Crc32c,
+    file_len: u64,
+) -> Result<(), ScanError> {
+    let foot_pos = reader.pos();
+    let mut footer = [0u8; FOOTER_LEN as usize];
+    reader.read_exact(&mut footer).map_err(|e| {
+        if e.kind() == ScanErrorKind::Truncated {
+            ScanError::new(
+                ScanErrorKind::Corrupt,
+                "missing footer (file truncated, or writer never finished)",
+            )
+            .at_offset(foot_pos)
         } else {
-            self.scan_v2(visit)
+            e
         }
+    })?;
+    let mut r = ByteReader::new(&footer);
+    if r.take(8, "footer magic").expect(FIXED) != FOOTER_MAGIC {
+        return Err(
+            ScanError::new(ScanErrorKind::Corrupt, "missing or corrupt footer").at_offset(foot_pos),
+        );
     }
+    let foot_count = r.u64("footer count").expect(FIXED);
+    if foot_count != count {
+        return Err(ScanError::new(
+            ScanErrorKind::Corrupt,
+            format!("footer count {foot_count} does not match header count {count}"),
+        )
+        .at_offset(foot_pos + 8));
+    }
+    crc.update(&footer[..16]);
+    let stored = r.u32("file crc").expect(FIXED);
+    let computed = crc.finish();
+    if computed != stored {
+        crate::obs::fault_crc_failures().inc();
+        return Err(ScanError::new(
+            ScanErrorKind::Corrupt,
+            format!("file checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"),
+        )
+        .at_offset(foot_pos + 16));
+    }
+    if reader.pos() != file_len {
+        return Err(ScanError::new(
+            ScanErrorKind::Corrupt,
+            format!("{} trailing bytes after footer", file_len - reader.pos()),
+        )
+        .at_offset(reader.pos()));
+    }
+    Ok(())
 }
 
 /// Sweeps forward from a failed record at `from`, looking for the next
@@ -943,16 +857,11 @@ fn resync(reader: &mut RetryReader, from: u64, file_len: u64) -> Result<Option<u
     let mut raw: Vec<u8> = Vec::new();
     let mut candidate = from + 1;
     while candidate + V2_HEAD_LEN <= file_len {
-        if file_len - candidate == FOOTER_LEN {
-            reader.seek_to(candidate)?;
-            let mut magic = [0u8; 8];
-            reader.read_exact(&mut magic)?;
-            if &magic == FOOTER_MAGIC {
-                return Ok(Some(candidate));
-            }
+        if footer_at(reader, candidate, file_len)? {
+            return Ok(Some(candidate));
         }
         reader.seek_to(candidate)?;
-        match read_record_v2(reader, 0, file_len, &mut symbols, &mut raw, None) {
+        match read_record(reader, 0, file_len, true, &mut symbols, &mut raw, None) {
             Ok(_) => return Ok(Some(candidate)),
             Err(e) if matches!(e.kind(), ScanErrorKind::Corrupt | ScanErrorKind::Truncated) => {
                 candidate += 1;

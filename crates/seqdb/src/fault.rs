@@ -176,6 +176,8 @@ impl FaultPlan {
 
 /// A reader that injects a [`FaultPlan`]'s faults, keyed by absolute file
 /// offset so the observable failures are independent of read chunking.
+/// Every [`DiskDb`] scan reads through one; under the empty plan it passes
+/// reads through unchanged.
 pub(crate) struct FaultyRead<R> {
     inner: R,
     plan: FaultPlan,
@@ -261,7 +263,7 @@ impl FaultyStore {
     /// Opens `path` with `plan`'s faults injected under `policy`.
     pub fn open(path: impl AsRef<Path>, plan: FaultPlan, policy: FaultPolicy) -> DiskResult<Self> {
         Ok(Self {
-            db: DiskDb::open_opts(path, policy, Some(plan))?,
+            db: DiskDb::open_opts(path, policy, plan)?,
         })
     }
 

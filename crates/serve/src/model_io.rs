@@ -1,6 +1,8 @@
-//! `NMMODEL` — the checksummed on-disk format for pattern-model artifacts.
+//! `NMMODEL` — the checksummed on-disk format for pattern-model artifacts:
+//! the framing and the model payload inside it. This module is the only
+//! code that reads or writes either.
 //!
-//! Layout (all integers little-endian), mirroring the NMSEQDB v2 idiom of
+//! Framing (all integers little-endian), mirroring the NMSEQDB v2 idiom of
 //! a magic-framed header plus CRC32C integrity at two granularities:
 //!
 //! ```text
@@ -8,7 +10,7 @@
 //! 0       8     magic "NMMODEL\0"
 //! 8       4     format version (u32, currently 1)
 //! 12      8     payload length L (u64)
-//! 20      L     model payload (see noisemine_core::model)
+//! 20      L     model payload (below)
 //! 20+L    4     payload CRC32C
 //! 24+L    4     file CRC32C (over bytes 0 .. 24+L)
 //! ```
@@ -18,21 +20,49 @@
 //! artifact is rejected with a descriptive error. Checksums use the same
 //! CRC32C implementation as the sequence database ([`noisemine_seqdb::crc`]).
 //!
+//! The payload ([`encode_payload`]) is a [`PatternModel`] in symbol order:
+//!
+//! ```text
+//! payload version  u32   (PAYLOAD_VERSION, currently 1)
+//! model version    u64
+//! min_match        f64
+//! alphabet         m u32, then per symbol: name length u32 + UTF-8 bytes
+//! matrix           per observed symbol j < m: entry count u32, then per
+//!                  entry: symbol u16 + weight f64 (stored column order)
+//! patterns         count u32, then per pattern: element count u32, per
+//!                  element tag u8 (0 = `*`, 1 = symbol, followed by its
+//!                  u16 id), match estimate f64, provenance u8
+//!                  (0 sample-confident, 1 verified, 2 implied)
+//! trie nodes       u64   node count of the compiled candidate trie
+//! ```
+//!
+//! Decoding re-compiles the trie and checks its node count against the
+//! stored one, so a loaded model provably compiles to the same kernel.
+//!
 //! Writing is deterministic: the same model always produces the same file
-//! bytes (the payload encoding is byte-stable), so artifacts can be
-//! content-addressed or diffed by checksum.
+//! bytes, so artifacts can be content-addressed or diffed by checksum.
 
 use std::fmt;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::Path;
 
-use noisemine_core::PatternModel;
+use noisemine_core::error::Error;
+use noisemine_core::match_kernel::CandidateTrie;
+use noisemine_core::miner::Provenance;
+use noisemine_core::{
+    Alphabet, CompatibilityMatrix, ModelPattern, Pattern, PatternElem, PatternModel, Symbol,
+};
+use noisemine_seqdb::bytes::{write_durable, ByteError, ByteReader, ByteWriter};
 use noisemine_seqdb::crc::crc32c;
 
 /// The 8-byte magic that opens every NMMODEL file.
 pub const NMMODEL_MAGIC: &[u8; 8] = b"NMMODEL\0";
 /// Current format version.
 pub const NMMODEL_VERSION: u32 = 1;
+/// Version of the payload encoding itself (bumped on layout changes;
+/// distinct from [`PatternModel::version`], which identifies the *data*
+/// the model was mined from).
+pub const PAYLOAD_VERSION: u32 = 1;
 /// Fixed header length (magic + version + payload length).
 pub const HEADER_LEN: usize = 20;
 /// Bytes of framing after the payload (payload CRC + file CRC).
@@ -71,15 +101,14 @@ pub type ModelIoResult<T> = Result<T, ModelIoError>;
 
 /// Serializes a model to its complete NMMODEL file bytes (deterministic).
 pub fn model_bytes(model: &PatternModel) -> Vec<u8> {
-    let payload = model.encode();
+    let payload = encode_payload(model);
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
     out.extend_from_slice(NMMODEL_MAGIC);
-    out.extend_from_slice(&NMMODEL_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.put_u32(NMMODEL_VERSION);
+    out.put_u64(payload.len() as u64);
     out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32c(&payload).to_le_bytes());
-    let file_crc = crc32c(&out);
-    out.extend_from_slice(&file_crc.to_le_bytes());
+    out.put_u32(crc32c(&payload));
+    out.put_u32(crc32c(&out));
     out
 }
 
@@ -87,13 +116,7 @@ pub fn model_bytes(model: &PatternModel) -> Vec<u8> {
 pub fn write_model(path: impl AsRef<Path>, model: &PatternModel) -> ModelIoResult<()> {
     let path = path.as_ref();
     let bytes = model_bytes(model);
-    let tmp = path.with_extension("nmmodel.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
+    write_durable(path, &path.with_extension("nmmodel.tmp"), &bytes)?;
     Ok(())
 }
 
@@ -108,14 +131,19 @@ pub fn decode_model_file(bytes: &[u8]) -> ModelIoResult<PatternModel> {
             HEADER_LEN + TRAILER_LEN
         )));
     }
-    if &bytes[..8] != NMMODEL_MAGIC {
+    // Every framing read below is in bounds: the file holds at least the
+    // header and the trailer, and the payload length is checked against
+    // the file length before the payload is taken.
+    const FRAMED: &str = "framing fits the checked file length";
+    let mut r = ByteReader::new(bytes);
+    let magic = r.take(8, "magic").expect(FRAMED);
+    if magic != NMMODEL_MAGIC {
         return Err(ModelIoError::Format(format!(
-            "bad magic {:02x?} (expected {:02x?} — not an NMMODEL file, or the header is corrupt)",
-            &bytes[..8],
-            NMMODEL_MAGIC
+            "bad magic {magic:02x?} (expected {NMMODEL_MAGIC:02x?} — not an NMMODEL file, or \
+             the header is corrupt)"
         )));
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let version = r.u32("format version").expect(FRAMED);
     if version != NMMODEL_VERSION {
         return Err(ModelIoError::Format(format!(
             "format version {version} (this build reads version {NMMODEL_VERSION})"
@@ -124,7 +152,9 @@ pub fn decode_model_file(bytes: &[u8]) -> ModelIoResult<PatternModel> {
     // Whole-file CRC first: it covers the header, so a flipped length or
     // version byte is caught before it can misdirect the payload parse.
     let file_crc_at = bytes.len() - 4;
-    let stored_file_crc = u32::from_le_bytes(bytes[file_crc_at..].try_into().expect("4 bytes"));
+    let stored_file_crc = ByteReader::new(&bytes[file_crc_at..])
+        .u32("file checksum")
+        .expect(FRAMED);
     let actual_file_crc = crc32c(&bytes[..file_crc_at]);
     if stored_file_crc != actual_file_crc {
         return Err(ModelIoError::Format(format!(
@@ -132,21 +162,17 @@ pub fn decode_model_file(bytes: &[u8]) -> ModelIoResult<PatternModel> {
              {actual_file_crc:#010x} — the artifact is corrupt"
         )));
     }
-    let payload_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    let expected_total = HEADER_LEN + payload_len + TRAILER_LEN;
-    if bytes.len() != expected_total {
+    let payload_len = r.u64("payload length").expect(FRAMED);
+    let expected_total = payload_len.saturating_add((HEADER_LEN + TRAILER_LEN) as u64);
+    if bytes.len() as u64 != expected_total {
         return Err(ModelIoError::Format(format!(
             "header promises a {payload_len}-byte payload ({expected_total} bytes total) but the \
              file is {} bytes",
             bytes.len()
         )));
     }
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
-    let stored_payload_crc = u32::from_le_bytes(
-        bytes[HEADER_LEN + payload_len..HEADER_LEN + payload_len + 4]
-            .try_into()
-            .expect("4 bytes"),
-    );
+    let payload = r.take(payload_len as usize, "payload").expect(FRAMED);
+    let stored_payload_crc = r.u32("payload checksum").expect(FRAMED);
     let actual_payload_crc = crc32c(payload);
     if stored_payload_crc != actual_payload_crc {
         return Err(ModelIoError::Format(format!(
@@ -154,8 +180,7 @@ pub fn decode_model_file(bytes: &[u8]) -> ModelIoResult<PatternModel> {
              {actual_payload_crc:#010x} — the model data is corrupt"
         )));
     }
-    PatternModel::decode(payload)
-        .map_err(|e| ModelIoError::Format(format!("payload decode failed: {e}")))
+    decode_payload(payload).map_err(|e| ModelIoError::Format(format!("payload decode failed: {e}")))
 }
 
 /// Reads and verifies a model artifact from disk.
@@ -166,6 +191,206 @@ pub fn read_model(path: impl AsRef<Path>) -> ModelIoResult<PatternModel> {
         ModelIoError::Format(msg) => ModelIoError::Format(format!("{}: {msg}", path.display())),
         other => other,
     })
+}
+
+/// Serializes a model to its canonical payload (layout in the module docs).
+///
+/// Deterministic: the same model always yields the same bytes, so two
+/// models are equal exactly when their payloads are.
+pub fn encode_payload(model: &PatternModel) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1024);
+    out.put_u32(PAYLOAD_VERSION);
+    out.put_u64(model.version);
+    out.put_f64(model.min_match);
+    // Alphabet: names in symbol order.
+    let m = model.alphabet.len();
+    out.put_u32(m as u32);
+    for (_, name) in model.alphabet.iter() {
+        let bytes = name.as_bytes();
+        out.put_u32(bytes.len() as u32);
+        out.extend_from_slice(bytes);
+    }
+    // Matrix: sparse columns (observed-major), entries in stored order.
+    for j in 0..m {
+        let col = model.matrix.column(Symbol(j as u16));
+        out.put_u32(col.len() as u32);
+        for &(sym, w) in col {
+            out.put_u16(sym.0);
+            out.put_f64(w);
+        }
+    }
+    // Patterns.
+    out.put_u32(model.patterns.len() as u32);
+    for mp in &model.patterns {
+        let elems = mp.pattern.elems();
+        out.put_u32(elems.len() as u32);
+        for e in elems {
+            match e {
+                PatternElem::Any => out.put_u8(0),
+                PatternElem::Sym(s) => {
+                    out.put_u8(1);
+                    out.put_u16(s.0);
+                }
+            }
+        }
+        out.put_f64(mp.match_estimate);
+        out.put_u8(match mp.provenance {
+            Provenance::SampleConfident => 0,
+            Provenance::Verified => 1,
+            Provenance::Implied => 2,
+        });
+    }
+    out.put_u64(model.trie_nodes);
+    out
+}
+
+/// Decodes a payload produced by [`encode_payload`].
+///
+/// Every failure carries a description of what was malformed and where.
+/// The compiled trie's node count is re-derived and checked against the
+/// stored metadata.
+fn decode_payload(bytes: &[u8]) -> Result<PatternModel, Error> {
+    let mut r = ByteReader::new(bytes);
+    let payload_version = r.u32("payload version").map_err(field)?;
+    if payload_version != PAYLOAD_VERSION {
+        return Err(payload_err(format!(
+            "unsupported model payload version {payload_version} (this build reads {PAYLOAD_VERSION})"
+        )));
+    }
+    let version = r.u64("model version").map_err(field)?;
+    let min_match = r.f64("min_match").map_err(field)?;
+    if !(0.0..=1.0).contains(&min_match) {
+        return Err(payload_err(format!("min_match {min_match} outside [0, 1]")));
+    }
+    let m = r.u32("alphabet size").map_err(field)? as usize;
+    if m == 0 || m > usize::from(u16::MAX) + 1 {
+        return Err(payload_err(format!("alphabet size {m} out of range")));
+    }
+    let mut names = Vec::with_capacity(m);
+    for i in 0..m {
+        let len = r.u32("symbol name length").map_err(field)? as usize;
+        if len > 4096 {
+            return Err(payload_err(format!(
+                "symbol {i} name length {len} exceeds the 4096-byte cap"
+            )));
+        }
+        let raw = r.take(len, "symbol name").map_err(field)?;
+        let name = std::str::from_utf8(raw)
+            .map_err(|_| payload_err(format!("symbol {i} name is not valid UTF-8")))?;
+        names.push(name.to_string());
+    }
+    let alphabet = Alphabet::new(names)?;
+    let mut columns = Vec::with_capacity(m);
+    for j in 0..m {
+        let entries = r.u32("matrix column entry count").map_err(field)? as usize;
+        if entries > m {
+            return Err(payload_err(format!(
+                "matrix column {j} has {entries} entries for an alphabet of {m}"
+            )));
+        }
+        let mut col = Vec::with_capacity(entries);
+        for _ in 0..entries {
+            let sym = r.u16("matrix entry symbol").map_err(field)?;
+            let w = r.f64("matrix entry weight").map_err(field)?;
+            col.push((Symbol(sym), w));
+        }
+        columns.push(col);
+    }
+    let matrix = CompatibilityMatrix::scores_from_sparse_columns(columns)?;
+    let count = r.u32("pattern count").map_err(field)? as usize;
+    let mut patterns = Vec::with_capacity(count.min(1 << 20));
+    for i in 0..count {
+        let elems_len = r.u32("pattern length").map_err(field)? as usize;
+        if elems_len == 0 || elems_len > 1 << 20 {
+            return Err(payload_err(format!(
+                "pattern {i} length {elems_len} out of range"
+            )));
+        }
+        let mut elems = Vec::with_capacity(elems_len);
+        for _ in 0..elems_len {
+            match r.u8("pattern element tag").map_err(field)? {
+                0 => elems.push(PatternElem::Any),
+                1 => {
+                    let s = r.u16("pattern symbol").map_err(field)?;
+                    if usize::from(s) >= m {
+                        return Err(payload_err(format!(
+                            "pattern {i} references symbol id {s} outside the {m}-symbol alphabet"
+                        )));
+                    }
+                    elems.push(PatternElem::Sym(Symbol(s)));
+                }
+                t => {
+                    return Err(payload_err(format!(
+                        "pattern {i} has unknown element tag {t}"
+                    )))
+                }
+            }
+        }
+        let pattern = Pattern::new(elems)?;
+        let match_estimate = r.f64("match estimate").map_err(field)?;
+        let provenance = match r.u8("provenance tag").map_err(field)? {
+            0 => Provenance::SampleConfident,
+            1 => Provenance::Verified,
+            2 => Provenance::Implied,
+            t => {
+                return Err(payload_err(format!(
+                    "pattern {i} has unknown provenance tag {t}"
+                )))
+            }
+        };
+        patterns.push(ModelPattern {
+            pattern,
+            match_estimate,
+            provenance,
+        });
+    }
+    let trie_nodes = r.u64("trie node count").map_err(field)?;
+    if r.remaining() != 0 {
+        return Err(payload_err(format!(
+            "{} trailing bytes after the model payload",
+            r.remaining()
+        )));
+    }
+    let model = PatternModel {
+        version,
+        min_match,
+        alphabet,
+        matrix,
+        patterns,
+        trie_nodes,
+    };
+    let plain = model.plain_patterns();
+    let actual = if plain.is_empty() {
+        0
+    } else {
+        CandidateTrie::new(&plain).num_nodes() as u64
+    };
+    if actual != model.trie_nodes {
+        return Err(payload_err(format!(
+            "compiled trie has {actual} nodes but the model metadata recorded {}",
+            model.trie_nodes
+        )));
+    }
+    Ok(model)
+}
+
+/// A payload field that failed to decode.
+fn field(e: ByteError) -> Error {
+    match e {
+        ByteError::Truncated {
+            what,
+            at,
+            need,
+            left,
+        } => payload_err(format!(
+            "truncated while reading {what} at byte {at} (need {need} bytes, {left} left)"
+        )),
+        ByteError::Overlong { what, .. } => payload_err(format!("{what} is out of range")),
+    }
+}
+
+fn payload_err(msg: String) -> Error {
+    Error::InvalidConfig(format!("pattern model: {msg}"))
 }
 
 #[cfg(test)]
@@ -231,8 +456,133 @@ mod tests {
     }
 
     #[test]
+    fn oversized_payload_length_is_rejected() {
+        // A payload length near `u64::MAX` under a matching file checksum
+        // must be rejected by the length check, not overflow the offsets.
+        let mut bytes = model_bytes(&sample_model());
+        let crc_at = bytes.len() - 4;
+        for len in [u64::MAX, u64::MAX - 27, (bytes.len() as u64) << 1] {
+            bytes[12..20].copy_from_slice(&len.to_le_bytes());
+            let crc = crc32c(&bytes[..crc_at]);
+            bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
+            let err = decode_model_file(&bytes).unwrap_err();
+            assert!(err.to_string().contains("header promises"), "{err}");
+        }
+    }
+
+    #[test]
     fn wrong_magic_is_descriptive() {
         let err = decode_model_file(b"NOTAMODELFILE_AT_ALL_____PADDING").unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
+    }
+
+    fn payload_sample_model() -> PatternModel {
+        let alphabet = Alphabet::synthetic(6);
+        let matrix = CompatibilityMatrix::uniform_noise(6, 0.2)
+            .unwrap()
+            .diagonal_normalized_clamped()
+            .unwrap();
+        let p1 = Pattern::contiguous(&[Symbol(0), Symbol(1), Symbol(2)]).unwrap();
+        let p2 = Pattern::new(vec![
+            PatternElem::Sym(Symbol(3)),
+            PatternElem::Any,
+            PatternElem::Sym(Symbol(4)),
+        ])
+        .unwrap();
+        let outcome = MineOutcome {
+            frequent: vec![
+                FrequentPattern {
+                    pattern: p1,
+                    match_estimate: 0.625,
+                    provenance: Provenance::Verified,
+                },
+                FrequentPattern {
+                    pattern: p2,
+                    match_estimate: 0.1875,
+                    provenance: Provenance::Implied,
+                },
+            ],
+            border: Border::default(),
+            symbol_match: vec![0.5; 6],
+            stats: MineStats::default(),
+        };
+        PatternModel::from_outcome(&outcome, &alphabet, &matrix, 0.125, 42)
+    }
+
+    #[test]
+    fn encode_is_byte_stable() {
+        let model = payload_sample_model();
+        assert_eq!(encode_payload(&model), encode_payload(&model));
+    }
+
+    #[test]
+    fn round_trips_exactly() {
+        let model = payload_sample_model();
+        let bytes = encode_payload(&model);
+        let back = decode_payload(&bytes).unwrap();
+        assert_eq!(encode_payload(&back), bytes);
+        assert_eq!(back.version, model.version);
+        assert_eq!(back.patterns.len(), model.patterns.len());
+    }
+
+    #[test]
+    fn round_trips_non_stochastic_matrix() {
+        // diagonal_normalized produces a *score* matrix whose columns do
+        // not sum to 1 — the payload must survive it.
+        let model = payload_sample_model();
+        assert!(decode_payload(&encode_payload(&model)).is_ok());
+    }
+
+    #[test]
+    fn rejects_truncation_with_context() {
+        let model = payload_sample_model();
+        let bytes = encode_payload(&model);
+        let err = decode_payload(&bytes[..bytes.len() - 3]).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn rejects_trailing_garbage() {
+        let model = payload_sample_model();
+        let mut bytes = encode_payload(&model);
+        bytes.extend_from_slice(&[0, 1, 2]);
+        let err = decode_payload(&bytes).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
+    }
+
+    #[test]
+    fn rejects_wrong_trie_metadata() {
+        let model = payload_sample_model();
+        let mut bytes = encode_payload(&model);
+        let n = bytes.len();
+        // trie_nodes is the final u64; nudge it.
+        bytes[n - 8] ^= 1;
+        let err = decode_payload(&bytes).unwrap_err();
+        assert!(err.to_string().contains("trie"), "{err}");
+    }
+
+    #[test]
+    fn rejects_unknown_payload_version() {
+        let model = payload_sample_model();
+        let mut bytes = encode_payload(&model);
+        bytes[0] = 99;
+        let err = decode_payload(&bytes).unwrap_err();
+        assert!(err.to_string().contains("payload version"), "{err}");
+    }
+
+    #[test]
+    fn empty_pattern_set_round_trips() {
+        let alphabet = Alphabet::synthetic(3);
+        let matrix = CompatibilityMatrix::identity(3);
+        let outcome = MineOutcome {
+            frequent: Vec::new(),
+            border: Border::default(),
+            symbol_match: vec![0.0; 3],
+            stats: MineStats::default(),
+        };
+        let model = PatternModel::from_outcome(&outcome, &alphabet, &matrix, 0.5, 1);
+        assert_eq!(model.trie_nodes, 0);
+        let back = decode_payload(&encode_payload(&model)).unwrap();
+        assert_eq!(encode_payload(&back), encode_payload(&model));
     }
 }

@@ -9,6 +9,7 @@ use noisemine_core::miner::{mine, MinerConfig};
 use noisemine_core::{Alphabet, CompatibilityMatrix, PatternModel, PatternSpace, Symbol};
 use noisemine_datagen::{ProteinWorkload, ProteinWorkloadConfig};
 use noisemine_seqdb::{FaultPlan, MemoryDb};
+use noisemine_serve::model_io::encode_payload;
 use noisemine_serve::{
     classify, decode_model_file, model_bytes, read_model, write_model, ServeModel,
 };
@@ -66,8 +67,8 @@ fn write_read_round_trip_is_byte_stable() {
     let back = read_model(&a).unwrap();
     assert_eq!(back.version, 42);
     assert_eq!(
-        back.encode(),
-        model.encode(),
+        encode_payload(&back),
+        encode_payload(&model),
         "payload round-trips bit-exactly"
     );
     assert_eq!(

@@ -39,8 +39,10 @@ use std::path::Path;
 
 use noisemine_core::border_collapse::ProbeStrategy;
 use noisemine_core::chernoff::SpreadMode;
+use noisemine_core::matching::SymbolMatchScratch;
 use noisemine_core::miner::MinerConfig;
 use noisemine_core::{CompatibilityMatrix, Pattern, PatternElem, PatternSpace, Symbol};
+use noisemine_seqdb::bytes::{write_durable, ByteReader, ByteWriter};
 use rand::rngs::StdRng;
 
 use crate::error::{Error, Result};
@@ -65,80 +67,20 @@ fn matrix_fingerprint(matrix: &CompatibilityMatrix) -> u64 {
     h
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// Cursor over a checkpoint buffer with structural error reporting.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let Some(end) = end else {
-            return Err(Error::Corrupt(format!(
-                "truncated while reading {what} at offset {}",
-                self.pos
-            )));
-        };
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// Bounds a count field against the bytes actually left in the buffer,
-    /// so a corrupted length cannot trigger a huge allocation.
-    fn count(&mut self, min_record: usize, what: &str) -> Result<usize> {
-        let n = self.u64(what)? as usize;
-        let left = self.buf.len() - self.pos;
-        if n.checked_mul(min_record).is_none_or(|need| need > left) {
-            return Err(Error::Corrupt(format!(
-                "{what} claims {n} records but only {left} bytes remain"
-            )));
-        }
-        Ok(n)
-    }
-}
-
 fn encode_pattern(out: &mut Vec<u8>, pattern: &Pattern) {
-    put_u32(out, pattern.elems().len() as u32);
+    out.put_u32(pattern.elems().len() as u32);
     for e in pattern.elems() {
         match e.symbol() {
-            None => put_u32(out, 0),
-            Some(Symbol(s)) => put_u32(out, s as u32 + 1),
+            None => out.put_u32(0),
+            Some(Symbol(s)) => out.put_u32(s as u32 + 1),
         }
     }
 }
 
-fn decode_pattern(r: &mut Reader<'_>) -> Result<Pattern> {
-    let len = r.u32("pattern length")? as usize;
+fn decode_pattern(r: &mut ByteReader<'_>) -> Result<Pattern> {
+    // Each element is a u32 code: bound the length by the bytes left
+    // before allocating for it.
+    let len = r.count_u32(4, "pattern length")?;
     let mut elems = Vec::with_capacity(len);
     for _ in 0..len {
         let code = r.u32("pattern element")?;
@@ -162,71 +104,71 @@ impl StreamState {
         let span = crate::obs::checkpoint_write_seconds().span();
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        put_u32(&mut out, VERSION);
+        out.put_u32(VERSION);
 
         // Config.
         let cfg = &self.config;
-        put_f64(&mut out, cfg.min_match);
-        put_f64(&mut out, cfg.delta);
-        put_u64(&mut out, cfg.sample_size as u64);
-        put_u64(&mut out, cfg.counters_per_scan as u64);
-        put_u64(&mut out, cfg.space.max_gap as u64);
-        put_u64(&mut out, cfg.space.max_len as u64);
-        out.push(match cfg.spread_mode {
+        out.put_f64(cfg.min_match);
+        out.put_f64(cfg.delta);
+        out.put_u64(cfg.sample_size as u64);
+        out.put_u64(cfg.counters_per_scan as u64);
+        out.put_u64(cfg.space.max_gap as u64);
+        out.put_u64(cfg.space.max_len as u64);
+        out.put_u8(match cfg.spread_mode {
             SpreadMode::Full => 0,
             SpreadMode::Restricted => 1,
         });
-        out.push(match cfg.probe_strategy {
+        out.put_u8(match cfg.probe_strategy {
             ProbeStrategy::BorderCollapsing => 0,
             ProbeStrategy::LevelWise => 1,
         });
-        put_u64(&mut out, cfg.seed);
-        put_u64(&mut out, cfg.max_sample_patterns as u64);
+        out.put_u64(cfg.seed);
+        out.put_u64(cfg.max_sample_patterns as u64);
 
         // Matrix fingerprint.
-        put_u32(&mut out, self.matrix.len() as u32);
-        put_u64(&mut out, matrix_fingerprint(&self.matrix));
+        out.put_u32(self.matrix.len() as u32);
+        out.put_u64(matrix_fingerprint(&self.matrix));
 
         // Counters and RNG.
-        put_u64(&mut out, self.total);
+        out.put_u64(self.total);
         for &s in &self.match_sums {
-            put_f64(&mut out, s);
+            out.put_f64(s);
         }
         // The in-flight block partial is stored as-is (NOT folded into the
         // sums): a restored engine must resume mid-block so its addition
         // grouping — and therefore its results — stay bit-identical to an
         // uninterrupted run.
         for &p in &self.pending {
-            put_f64(&mut out, p);
+            out.put_f64(p);
         }
         for w in self.rng.state() {
-            put_u64(&mut out, w);
+            out.put_u64(w);
         }
 
         // Reservoir.
-        put_u64(&mut out, self.reservoir.len() as u64);
+        out.put_u64(self.reservoir.len() as u64);
         for seq in &self.reservoir {
-            put_u32(&mut out, seq.len() as u32);
+            out.put_u32(seq.len() as u32);
             for &Symbol(s) in seq {
-                out.extend_from_slice(&s.to_le_bytes());
+                out.put_u16(s);
             }
         }
 
         // Tracked borders.
-        put_u64(&mut out, self.tracked.len() as u64);
+        out.put_u64(self.tracked.len() as u64);
         for (pattern, sum) in &self.tracked {
             encode_pattern(&mut out, pattern);
-            put_f64(&mut out, *sum);
+            out.put_f64(*sum);
         }
 
         // Drift anchor.
         match &self.last_mine {
-            None => out.push(0),
+            None => out.put_u8(0),
             Some(snap) => {
-                out.push(1);
-                put_u64(&mut out, snap.total);
+                out.put_u8(1);
+                out.put_u64(snap.total);
                 for &v in &snap.symbol_match {
-                    put_f64(&mut out, v);
+                    out.put_f64(v);
                 }
             }
         }
@@ -235,14 +177,7 @@ impl StreamState {
         // temporary file *before* the rename, so after a crash the
         // destination holds either the previous checkpoint or this one in
         // full — never a partial payload.
-        let tmp = path.with_extension("tmp");
-        {
-            use std::io::Write as _;
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&out)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
+        write_durable(path, &path.with_extension("tmp"), &out)?;
         span.finish();
         Ok(())
     }
@@ -253,7 +188,7 @@ impl StreamState {
     /// engine was created with (validated by fingerprint).
     pub fn restore(path: &Path, matrix: CompatibilityMatrix) -> Result<Self> {
         let buf = fs::read(path)?;
-        let mut r = Reader { buf: &buf, pos: 0 };
+        let mut r = ByteReader::new(&buf);
 
         if r.take(8, "magic")? != MAGIC {
             return Err(Error::Corrupt("bad magic".into()));
@@ -340,7 +275,7 @@ impl StreamState {
         let rng = StdRng::from_state(words);
 
         // Reservoir.
-        let count = r.count(4, "reservoir count")?;
+        let count = r.count_u64(4, "reservoir count")?;
         if count > sample_size {
             return Err(Error::Corrupt(format!(
                 "reservoir holds {count} sequences, above the configured \
@@ -359,7 +294,7 @@ impl StreamState {
         }
 
         // Tracked borders.
-        let count = r.count(12, "tracked count")?;
+        let count = r.count_u64(12, "tracked count")?;
         let mut tracked = Vec::with_capacity(count);
         for _ in 0..count {
             let pattern = decode_pattern(&mut r)?;
@@ -384,15 +319,24 @@ impl StreamState {
             v => return Err(Error::Corrupt(format!("unknown drift anchor flag {v}"))),
         };
 
-        if r.pos != buf.len() {
+        if r.remaining() != 0 {
             return Err(Error::Corrupt(format!(
                 "{} trailing bytes after checkpoint payload",
-                buf.len() - r.pos
+                r.remaining()
             )));
         }
 
-        Ok(StreamState::from_parts(
-            matrix, config, total, match_sums, pending, rng, reservoir, tracked, last_mine,
-        ))
+        Ok(StreamState {
+            scratch: SymbolMatchScratch::new(m),
+            matrix,
+            config,
+            total,
+            match_sums,
+            pending,
+            rng,
+            reservoir,
+            tracked,
+            last_mine,
+        })
     }
 }

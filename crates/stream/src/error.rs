@@ -3,6 +3,7 @@
 use std::fmt;
 
 use noisemine_core::ScanError;
+use noisemine_seqdb::bytes::ByteError;
 
 /// Errors produced by the streaming engine.
 #[derive(Debug)]
@@ -75,6 +76,22 @@ impl From<ScanError> for Error {
 impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Self {
         Error::Io(e)
+    }
+}
+
+/// A checkpoint field that fails to decode.
+impl From<ByteError> for Error {
+    fn from(e: ByteError) -> Self {
+        Error::Corrupt(match e {
+            ByteError::Truncated { what, at, .. } => {
+                format!("truncated while reading {what} at offset {at}")
+            }
+            ByteError::Overlong {
+                what,
+                claimed,
+                left,
+            } => format!("{what} claims {claimed} records but only {left} bytes remain"),
+        })
     }
 }
 

@@ -104,7 +104,7 @@ pub struct StreamState {
     pub(crate) tracked: Vec<(Pattern, f64)>,
     /// Phase-1 snapshot at the last re-mine.
     pub(crate) last_mine: Option<MineSnapshot>,
-    scratch: SymbolMatchScratch,
+    pub(crate) scratch: SymbolMatchScratch,
 }
 
 impl StreamState {
@@ -127,34 +127,6 @@ impl StreamState {
             scratch: SymbolMatchScratch::new(m),
             matrix,
         })
-    }
-
-    /// Rebuilds an engine from checkpointed parts (used by restore).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        matrix: CompatibilityMatrix,
-        config: MinerConfig,
-        total: u64,
-        match_sums: Vec<f64>,
-        pending: Vec<f64>,
-        rng: StdRng,
-        reservoir: Vec<Vec<Symbol>>,
-        tracked: Vec<(Pattern, f64)>,
-        last_mine: Option<MineSnapshot>,
-    ) -> Self {
-        let scratch = SymbolMatchScratch::new(matrix.len());
-        Self {
-            matrix,
-            config,
-            total,
-            match_sums,
-            pending,
-            rng,
-            reservoir,
-            tracked,
-            last_mine,
-            scratch,
-        }
     }
 
     /// Ingests one appended sequence: O(len · m) symbol-match update, O(1)

@@ -108,3 +108,46 @@ fn intact_checkpoint_restores() {
     assert_eq!(restored.symbol_match(), engine.symbol_match());
     std::fs::remove_file(&path).unwrap();
 }
+
+/// Length-field sweep: a tracked pattern whose element count is larger
+/// than the bytes left in the file (`u32::MAX`, or just one element too
+/// many) must be rejected before anything is allocated for it, not abort
+/// the process on a multi-gigabyte allocation.
+#[test]
+fn oversized_tracked_pattern_lengths_are_rejected() {
+    let engine = engine_with_state();
+    let path = tmp_path("plen-full");
+    engine.checkpoint(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+
+    // Layout up to the tracked list: magic(8) + version(4) + config(66) +
+    // alphabet size(4) + fingerprint(8) + total(8) + match sums and pending
+    // sums (2 × m × 8) + rng(32) + reservoir count(8) + each reservoir
+    // sequence (4 + 2 × len) + tracked count(8).
+    let m = CompatibilityMatrix::paper_figure2().len();
+    let reservoir: usize = engine.sample().iter().map(|s| 4 + 2 * s.len()).sum();
+    let mut at = 8 + 4 + 66 + 4 + 8 + 8 + 2 * m * 8 + 32 + 8 + reservoir + 8;
+    let lengths: Vec<usize> = engine.tracked_patterns().map(|p| p.len()).collect();
+    assert!(!lengths.is_empty(), "the sweep needs tracked patterns");
+
+    let matrix = CompatibilityMatrix::paper_figure2();
+    let path = tmp_path("plen-flip");
+    for (i, &len) in lengths.iter().enumerate() {
+        let field = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        assert_eq!(field as usize, len, "pattern {i} length field not at {at}");
+        let left = bytes.len() - (at + 4);
+        for bad in [u32::MAX, (left / 4 + 1) as u32] {
+            let mut corrupt = bytes.clone();
+            corrupt[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+            std::fs::write(&path, &corrupt).unwrap();
+            let result = StreamState::restore(&path, matrix.clone());
+            assert!(
+                matches!(result, Err(Error::Corrupt(_))),
+                "pattern {i} length {bad} must be rejected as corrupt"
+            );
+        }
+        at += 4 + 4 * len + 8;
+    }
+    std::fs::remove_file(&path).unwrap();
+}

@@ -21,7 +21,7 @@ use noisemine::core::matching::{
 };
 use noisemine::core::miner::{mine, try_phase1_threads, MinerConfig};
 use noisemine::core::{CompatibilityMatrix, Pattern, PatternSpace, Symbol};
-use noisemine::seqdb::{sequential_sample, MemoryDb};
+use noisemine::seqdb::MemoryDb;
 use noisemine::stream::StreamState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,17 +144,17 @@ fn halfway_patterns_are_between() {
     });
 }
 
-/// Sequential sampling returns exactly `min(n, N)` sequences, in scan
-/// order, without duplication of positions.
+/// Phase 1's sequential sampler returns exactly `min(n, N)` sequences.
 #[test]
 fn sequential_sampling_quota() {
+    let matrix = CompatibilityMatrix::identity(M);
     run_cases(CASES, |rng| {
         let n = rng.gen_range(0..40usize);
         let count = rng.gen_range(1..30usize);
         let db = MemoryDb::from_sequences(
             (0..count).map(|i| vec![Symbol((i % M) as u16), Symbol(((i / M) % M) as u16)]),
         );
-        let sample = sequential_sample(&db, n, rng);
+        let sample = try_phase1_threads(&db, &matrix, n, rng, 1).unwrap().sample;
         assert_eq!(sample.len(), n.min(count));
     });
 }

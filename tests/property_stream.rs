@@ -5,24 +5,35 @@ mod common;
 
 use common::{random_matrix, random_sequences, run_cases};
 use noisemine::core::miner::MinerConfig;
-use noisemine::core::{PatternSpace, Symbol};
-use noisemine::seqdb::{reservoir_sample, MemoryDb};
+use noisemine::core::{CompatibilityMatrix, PatternSpace, Symbol};
 use noisemine::stream::StreamState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const M: usize = 5;
 
-/// Reservoir sampling returns exactly `min(n, N)` sequences for arbitrary
-/// quota/database-size combinations, including n = 0 and n >= N.
+/// The engine's reservoir after ingesting `count` sequences with capacity
+/// `n` (the engine's `sample_size`), seeded with `seed`.
+fn reservoir(count: usize, n: usize, seed: u64) -> Vec<Vec<Symbol>> {
+    let config = MinerConfig {
+        sample_size: n,
+        seed,
+        ..MinerConfig::default()
+    };
+    let mut engine = StreamState::new(CompatibilityMatrix::identity(count.max(M)), config).unwrap();
+    engine.ingest_all((0..count).map(|i| vec![Symbol(i as u16)]));
+    engine.sample().to_vec()
+}
+
+/// The stream engine's reservoir (Algorithm R) holds exactly `min(n, N)`
+/// sequences for arbitrary capacity/stream-length combinations, including
+/// n >= N (a capacity of 0 is a configuration error).
 #[test]
 fn reservoir_sample_size_is_exact() {
     run_cases(128, |rng| {
         let count = rng.gen_range(0..40usize);
-        let n = rng.gen_range(0..50usize);
-        let db = MemoryDb::from_sequences((0..count).map(|i| vec![Symbol((i % M) as u16)]));
-        let sample = reservoir_sample(&db, n, rng);
-        assert_eq!(sample.len(), n.min(count));
+        let n = rng.gen_range(1..50usize);
+        assert_eq!(reservoir(count, n, rng.gen()).len(), n.min(count));
     });
 }
 
@@ -36,11 +47,10 @@ fn reservoir_selection_is_uniform_chi_square() {
     let quota = 10usize;
     let trials = 4000usize;
     for seed in [3u64, 1031, 777_777] {
-        let db = MemoryDb::from_sequences((0..count).map(|i| vec![Symbol(i as u16)]));
         let mut rng = StdRng::seed_from_u64(seed);
         let mut hits = vec![0usize; count];
         for _ in 0..trials {
-            for seq in reservoir_sample(&db, quota, &mut rng) {
+            for seq in reservoir(count, quota, rng.gen()) {
                 hits[seq[0].0 as usize] += 1;
             }
         }
