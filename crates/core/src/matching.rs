@@ -99,7 +99,8 @@ impl SequenceBlock {
 /// `noisemine-seqdb` crate provides in-memory and disk-resident
 /// implementations with scan accounting. A "scan" in the paper's
 /// cost model corresponds to exactly one call of [`SequenceScan::scan`],
-/// [`SequenceScan::try_scan`] or [`SequenceScan::try_scan_blocks`].
+/// [`SequenceScan::try_scan`], [`SequenceScan::try_scan_from`] or
+/// [`SequenceScan::try_scan_blocks`].
 ///
 /// A store implements `num_sequences` and `scan`, plus `try_scan` when it
 /// can fail. Block scans always come from the provided
@@ -135,6 +136,27 @@ pub trait SequenceScan {
     fn try_scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) -> Result<(), ScanError> {
         self.scan(visit);
         Ok(())
+    }
+
+    /// [`SequenceScan::try_scan`] that visits only the sequences after the
+    /// first `skip`: the tail read of an append-only log. One call is one
+    /// database scan.
+    ///
+    /// The default scans everything and drops the first `skip` visits. A
+    /// store that can seek to its tail overrides this; it must visit the
+    /// same sequences, and may leave the skipped ones unread.
+    fn try_scan_from(
+        &self,
+        skip: u64,
+        visit: &mut dyn FnMut(u64, &[Symbol]),
+    ) -> Result<(), ScanError> {
+        let mut seen = 0u64;
+        self.try_scan(&mut |id, seq| {
+            if seen >= skip {
+                visit(id, seq);
+            }
+            seen += 1;
+        })
     }
 
     /// Visits every sequence in [`SequenceScan::try_scan`] order, batched
@@ -183,6 +205,13 @@ impl<T: SequenceScan + ?Sized> SequenceScan for &T {
     }
     fn try_scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) -> Result<(), ScanError> {
         (**self).try_scan(visit)
+    }
+    fn try_scan_from(
+        &self,
+        skip: u64,
+        visit: &mut dyn FnMut(u64, &[Symbol]),
+    ) -> Result<(), ScanError> {
+        (**self).try_scan_from(skip, visit)
     }
 }
 

@@ -74,6 +74,8 @@ const FOOTER_LEN: u64 = 20;
 const V1_HEAD_LEN: u64 = 12;
 /// Record head length in v2: id + len + crc.
 const V2_HEAD_LEN: u64 = 16;
+/// Read buffer of a scan pass.
+const SCAN_BUFFER: usize = 1 << 20;
 /// Transient-fault retries granted per read under `Quarantine` — skipping
 /// records is for *corruption*; a flaky device still deserves a few tries
 /// before the scan gives up.
@@ -349,11 +351,33 @@ struct Census {
 }
 
 /// Streaming writer for the on-disk format.
+///
+/// The writer keeps a running CRC32C of every byte it writes, so
+/// [`DiskDbWriter::finish`] computes the v2 footer without reading the
+/// file back: the header count, written before the records it counts, is
+/// folded in afterwards by CRC linearity ([`Crc32c::patch`]).
 pub struct DiskDbWriter {
     out: BufWriter<File>,
     count: u64,
     path: PathBuf,
     version: u32,
+    /// Bytes in the file so far: the header and every record.
+    len: u64,
+    /// CRC32C state over those bytes as they are on disk, the header
+    /// holding the count `start.index` it had when the writer opened
+    /// (v2 only).
+    crc: Crc32c,
+    /// Where this writer's first record goes.
+    start: Resume,
+}
+
+/// A position in a file's records: the index and byte offset of a record,
+/// and the CRC32C state of every byte before it.
+#[derive(Debug, Clone, Copy)]
+struct Resume {
+    index: u64,
+    offset: u64,
+    crc: Crc32c,
 }
 
 impl DiskDbWriter {
@@ -378,59 +402,85 @@ impl DiskDbWriter {
         let path = path.as_ref().to_path_buf();
         let file = File::create(&path)?;
         let mut out = BufWriter::new(file);
-        let mut header = Vec::with_capacity(HEADER_LEN as usize);
-        header.extend_from_slice(MAGIC);
-        header.put_u32(version);
-        header.put_u64(0); // count placeholder
+        let header = header_bytes(version, 0); // count placeholder
         out.write_all(&header)?;
-        Ok(Self {
-            out,
-            count: 0,
-            path,
-            version,
-        })
+        let mut crc = Crc32c::new();
+        crc.update(&header);
+        Ok(Self::resume_at(out, path, version, 0, HEADER_LEN, crc))
     }
 
-    /// Reopens an existing database file for appending: validates the
-    /// header, seeks past the last counted record, truncates anything after
-    /// it (a v2 footer, or the tail of a crashed append), and continues the
-    /// sequence count, so `append(p)` followed by writes and
-    /// [`DiskDbWriter::finish`] extends the database in place. The file's
-    /// format version is preserved. This is the substrate of the streaming
-    /// ingestion engine's append-only log.
-    pub fn append(path: impl AsRef<Path>) -> DiskResult<Self> {
-        let path = path.as_ref().to_path_buf();
-        // Validate header + count via the reader path.
-        let existing = DiskDb::open(&path)?;
-        let count = existing.count;
-        let version = existing.version;
-        let head_len = head_len(version != VERSION_V1) as usize;
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        // Walk the record heads to find the end of the last counted record;
-        // everything after it (footer, torn tail) is discarded and will be
-        // rewritten by `finish`.
-        let mut pos: u64 = HEADER_LEN;
-        {
-            let mut reader = BufReader::new(&mut file);
-            reader.seek(SeekFrom::Start(pos))?;
-            let mut head = [0u8; V2_HEAD_LEN as usize];
-            for i in 0..count {
-                reader
-                    .read_exact(&mut head[..head_len])
-                    .map_err(|e| DiskError::Format(format!("truncated record {i}: {e}")))?;
-                let (_, len) = parse_head(&head[..head_len]);
-                pos += head_len as u64 + len * 2;
-                reader.seek(SeekFrom::Start(pos))?;
-            }
-        }
-        file.set_len(pos)?;
-        file.seek(SeekFrom::Start(pos))?;
-        Ok(Self {
-            out: BufWriter::new(file),
+    fn resume_at(
+        out: BufWriter<File>,
+        path: PathBuf,
+        version: u32,
+        count: u64,
+        len: u64,
+        crc: Crc32c,
+    ) -> Self {
+        Self {
+            out,
             count,
             path,
             version,
-        })
+            len,
+            crc,
+            start: Resume {
+                index: count,
+                offset: len,
+                crc,
+            },
+        }
+    }
+
+    /// Reopens an existing database file for appending: validates the
+    /// header, finds the end of the last counted record, truncates
+    /// anything after it (a v2 footer, or the tail of a crashed append),
+    /// and continues the sequence count, so `append(p)` followed by writes
+    /// and [`DiskDbWriter::finish`] extends the database in place. The
+    /// file's format version is preserved. This is the substrate of the
+    /// streaming ingestion engine's append-only log.
+    ///
+    /// A finished v2 file costs O(1) here: its footer marks where the
+    /// records end, and its stored whole-file CRC, with the footer's bytes
+    /// taken back out, is the checksum state of everything before it. Any
+    /// other file (v1, a torn tail, a footer whose count disagrees with
+    /// the header) is walked record head by record head, and on v2 the
+    /// kept prefix is checksummed once.
+    pub fn append(path: impl AsRef<Path>) -> DiskResult<Self> {
+        let path = path.as_ref().to_path_buf();
+        // Validate header + count via the reader path.
+        let existing = DiskDb::open_buffered(
+            &path,
+            FaultPolicy::Strict,
+            FaultPlan::new(),
+            HEADER_LEN as usize,
+        )?;
+        let count = existing.count;
+        let version = existing.version;
+        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
+        let file_len = file.metadata()?.len();
+        let seed = footer_seed(&file, version, count, file_len)?;
+        let end = match seed {
+            Some((end, _)) => end,
+            None => walk_heads(&file, version, count)?,
+        };
+        file.set_len(end)?;
+        // Checksummed after truncating: a walk past the end of a torn file
+        // extends it with zeros, and the checksum covers those.
+        let crc = match seed {
+            Some((_, crc)) => crc,
+            None if version == VERSION_V1 => Crc32c::new(),
+            None => prefix_crc(&file, end)?,
+        };
+        file.seek(SeekFrom::Start(end))?;
+        Ok(Self::resume_at(
+            BufWriter::new(file),
+            path,
+            version,
+            count,
+            end,
+            crc,
+        ))
     }
 
     /// Number of sequences written so far (including pre-existing ones when
@@ -456,45 +506,147 @@ impl DiskDbWriter {
         }
         buf.extend_from_slice(&data);
         self.out.write_all(&buf)?;
+        if self.version != VERSION_V1 {
+            self.crc.update(&buf);
+        }
+        self.len += buf.len() as u64;
         self.count += 1;
         Ok(())
     }
 
-    /// Flushes, patches the header count, writes the v2 footer, and returns
-    /// a reader for the file.
+    /// Flushes, patches the header count, writes the v2 footer, fsyncs,
+    /// and returns a reader for the file. Reads nothing back: the footer
+    /// CRC is the running checksum with the new header count folded in.
+    /// The reader remembers where this writer's records start, so a
+    /// [`SequenceScan::try_scan_from`] that skips exactly the records the
+    /// file held before reads only the new ones (see [`DiskDb`]).
     pub fn finish(mut self) -> DiskResult<DiskDb> {
         self.out.flush()?;
         let file = self.out.into_inner().map_err(|e| e.into_error())?;
         use std::os::unix::fs::FileExt;
         // Patch the count field (offset 12).
         file.write_all_at(&self.count.to_le_bytes(), 12)?;
+        let header = header_bytes(self.version, self.count);
+        let mut start = self.start;
+        let mut file_len = self.len;
         if self.version != VERSION_V1 {
-            // Whole-file checksum: re-read the file (count already patched)
-            // through a fresh read handle — the create handle is
-            // write-only — and append the footer via `write_all_at`.
-            let end = file.metadata()?.len();
-            let mut crc = Crc32c::new();
-            let mut reader = BufReader::with_capacity(1 << 20, File::open(&self.path)?);
-            reader.seek(SeekFrom::Start(0))?;
-            let mut chunk = [0u8; 8192];
-            loop {
-                let n = reader.read(&mut chunk)?;
-                if n == 0 {
-                    break;
-                }
-                crc.update(&chunk[..n]);
-            }
+            // Both checksums saw the count the header held when this
+            // writer opened; the bytes after the count field carry the
+            // change forward.
+            let delta = (start.index ^ self.count).to_le_bytes();
+            self.crc.patch(&delta, self.len - HEADER_LEN);
+            start.crc.patch(&delta, start.offset - HEADER_LEN);
             let mut footer = Vec::with_capacity(FOOTER_LEN as usize);
             footer.extend_from_slice(FOOTER_MAGIC);
             footer.put_u64(self.count);
-            crc.update(&footer);
-            footer.put_u32(crc.finish());
-            file.write_all_at(&footer, end)?;
+            self.crc.update(&footer);
+            footer.put_u32(self.crc.finish());
+            file.write_all_at(&footer, self.len)?;
+            file_len += FOOTER_LEN;
         }
         file.sync_all()?;
         drop(file);
-        DiskDb::open(&self.path)
+        Ok(DiskDb {
+            path: self.path,
+            count: self.count,
+            version: self.version,
+            policy: FaultPolicy::Strict,
+            plan: FaultPlan::new(),
+            census: None,
+            appended: Some(Box::new(Appended {
+                start,
+                header,
+                file_len,
+            })),
+            scans: AtomicUsize::new(0),
+        })
     }
+}
+
+/// The header of a `version` file holding `count` sequences.
+fn header_bytes(version: u32, count: u64) -> [u8; HEADER_LEN as usize] {
+    let mut header = [0u8; HEADER_LEN as usize];
+    header[..8].copy_from_slice(MAGIC);
+    header[8..12].copy_from_slice(&version.to_le_bytes());
+    header[12..].copy_from_slice(&count.to_le_bytes());
+    header
+}
+
+/// The fast path of [`DiskDbWriter::append`]: on a v2 file that ends in
+/// a footer agreeing with the header count, where the records end and the
+/// CRC32C state of everything before that. `None` sends the caller to
+/// the head walk.
+fn footer_seed(
+    file: &File,
+    version: u32,
+    count: u64,
+    file_len: u64,
+) -> io::Result<Option<(u64, Crc32c)>> {
+    use std::os::unix::fs::FileExt;
+    if version == VERSION_V1 || file_len < HEADER_LEN + FOOTER_LEN {
+        return Ok(None);
+    }
+    let end = file_len - FOOTER_LEN;
+    let mut footer = [0u8; FOOTER_LEN as usize];
+    file.read_exact_at(&mut footer, end)?;
+    let mut r = ByteReader::new(&footer);
+    let magic_ok = r.take(8, "footer magic").expect(FIXED) == FOOTER_MAGIC;
+    let foot_count = r.u64("footer count").expect(FIXED);
+    if !magic_ok || foot_count != count {
+        return Ok(None);
+    }
+    // The stored CRC covers every byte before it, the footer's first 16
+    // included; take those back out.
+    let mut crc = Crc32c::resume(r.u32("file crc").expect(FIXED));
+    crc.rewind(&footer[..16]);
+    Ok(Some((end, crc)))
+}
+
+/// Walks `count` record heads from the first record and returns the
+/// offset one past the last counted record. Skips each record's data with
+/// a relative seek, which stays inside the read buffer for short records.
+fn walk_heads(file: &File, version: u32, count: u64) -> DiskResult<u64> {
+    let head_len = head_len(version != VERSION_V1) as usize;
+    let mut reader = BufReader::new(file);
+    reader.seek(SeekFrom::Start(HEADER_LEN))?;
+    let mut head = [0u8; V2_HEAD_LEN as usize];
+    let mut pos = HEADER_LEN;
+    for i in 0..count {
+        reader
+            .read_exact(&mut head[..head_len])
+            .map_err(|e| DiskError::Format(format!("truncated record {i}: {e}")))?;
+        let (_, len) = parse_head(&head[..head_len]);
+        pos += head_len as u64 + len * 2;
+        reader.seek_relative((len * 2) as i64)?;
+    }
+    Ok(pos)
+}
+
+/// CRC32C state over the first `end` bytes of `file`.
+fn prefix_crc(mut file: &File, end: u64) -> io::Result<Crc32c> {
+    file.seek(SeekFrom::Start(0))?;
+    let mut crc = Crc32c::new();
+    let mut rest = file.take(end);
+    let mut chunk = vec![0u8; 1 << 16];
+    loop {
+        let n = rest.read(&mut chunk)?;
+        if n == 0 {
+            return Ok(crc);
+        }
+        crc.update(&chunk[..n]);
+    }
+}
+
+/// What a [`DiskDb`] returned by [`DiskDbWriter::finish`] knows about the
+/// file it just wrote.
+#[derive(Debug)]
+struct Appended {
+    /// The writer's first record, with the CRC32C state (final header
+    /// count included) of every byte before it.
+    start: Resume,
+    /// The header and file length the writer left.
+    header: [u8; HEADER_LEN as usize],
+    file_len: u64,
 }
 
 /// A read-only disk-resident sequence database.
@@ -504,6 +656,17 @@ impl DiskDbWriter {
 /// Fault handling is governed by the [`FaultPolicy`] chosen at open time;
 /// the infallible [`SequenceScan::scan`] panics where
 /// [`SequenceScan::try_scan`] would return an error.
+///
+/// A database returned by [`DiskDbWriter::finish`] also remembers where
+/// that writer's records start. [`SequenceScan::try_scan_from`] with
+/// `skip` equal to that record's index — the tail read of an append-only
+/// log — then reads only the new records, if the header and the file
+/// length are still the ones the writer left. It checks each new record's
+/// CRC, the footer's magic and count, the whole-file CRC (continued from
+/// the state the writer remembered, not recomputed over the old bytes),
+/// and that nothing trails the footer. Old records are not re-read: a
+/// corruption there is caught by the next full strict scan. Every other
+/// `try_scan_from` is a full scan that drops the first `skip` sequences.
 #[derive(Debug)]
 pub struct DiskDb {
     path: PathBuf,
@@ -513,6 +676,8 @@ pub struct DiskDb {
     policy: FaultPolicy,
     plan: FaultPlan,
     census: Option<Census>,
+    /// Set only by [`DiskDbWriter::finish`].
+    appended: Option<Box<Appended>>,
     scans: AtomicUsize,
 }
 
@@ -539,6 +704,20 @@ impl DiskDb {
         policy: FaultPolicy,
         plan: FaultPlan,
     ) -> DiskResult<Self> {
+        Self::open_buffered(path, policy, plan, SCAN_BUFFER)
+    }
+
+    /// [`DiskDb::open_opts`], reading the header through a buffer of
+    /// `header_buffer` bytes. Opens that go on to scan use a full scan
+    /// buffer, so an injected fault in the first buffer's reach surfaces
+    /// at open as it would in the scan's first read;
+    /// [`DiskDbWriter::append`] reads the header alone.
+    fn open_buffered(
+        path: impl AsRef<Path>,
+        policy: FaultPolicy,
+        plan: FaultPlan,
+        header_buffer: usize,
+    ) -> DiskResult<Self> {
         let path = path.as_ref().to_path_buf();
         let mut db = Self {
             path,
@@ -547,9 +726,10 @@ impl DiskDb {
             policy,
             plan,
             census: None,
+            appended: None,
             scans: AtomicUsize::new(0),
         };
-        let header = read_header(&mut db.retry_reader()?)?;
+        let header = read_header(&mut db.retry_reader(header_buffer)?)?;
         if !header.magic_ok {
             return Err(DiskError::Format("bad magic; not a noisemine seqdb".into()));
         }
@@ -629,8 +809,9 @@ impl DiskDb {
     }
 
     /// Opens a fresh reader for one scan pass, wired through the fault
-    /// plan and granted the policy's transient-retry budget.
-    fn retry_reader(&self) -> Result<RetryReader, ScanError> {
+    /// plan and granted the policy's transient-retry budget, buffering
+    /// `capacity` bytes per read.
+    fn retry_reader(&self, capacity: usize) -> Result<RetryReader, ScanError> {
         let file = File::open(&self.path).map_err(|e| io_scan_error(&e, 0))?;
         let (attempts, backoff) = match self.policy {
             FaultPolicy::Strict => (0, Duration::ZERO),
@@ -638,7 +819,7 @@ impl DiskDb {
             FaultPolicy::Quarantine => (QUARANTINE_TRANSIENT_ATTEMPTS, Duration::ZERO),
         };
         Ok(RetryReader {
-            inner: BufReader::with_capacity(1 << 20, self.plan.wrap(file)),
+            inner: BufReader::with_capacity(capacity, self.plan.wrap(file)),
             pos: 0,
             bytes_read: 0,
             attempts,
@@ -654,10 +835,16 @@ impl DiskDb {
     /// the file, so the scan skips its bad ranges and stops where its
     /// records end; a record that fails to decode then means the file
     /// changed since the census, surfaced as corruption rather than
-    /// silently diverging from the reported survivor count.
-    fn scan_records(&self, visit: &mut dyn FnMut(u64, &[Symbol])) -> Result<(), ScanError> {
+    /// silently diverging from the reported survivor count. The first
+    /// `skip` sequences the pass yields are read and checked but not
+    /// visited.
+    fn scan_records(
+        &self,
+        skip: u64,
+        visit: &mut dyn FnMut(u64, &[Symbol]),
+    ) -> Result<(), ScanError> {
         let file_len = self.effective_len()?;
-        let mut reader = self.retry_reader()?;
+        let mut reader = self.retry_reader(SCAN_BUFFER)?;
         let header = read_header(&mut reader)?;
         let checksummed = self.version != VERSION_V1;
         let (skipped, records_end, count) = match &self.census {
@@ -689,6 +876,7 @@ impl DiskDb {
         let mut raw: Vec<u8> = Vec::new();
         let mut bad = skipped.iter().peekable();
         let mut index = 0u64;
+        let mut seen = 0u64;
         while index < count && reader.pos() < records_end {
             if let Some(q) = bad.next_if(|q| q.offset == reader.pos()) {
                 reader.seek_to(q.offset + q.skipped)?;
@@ -705,13 +893,63 @@ impl DiskDb {
                 verify_file.then_some(&mut file_crc),
             )?;
             index += 1;
-            visit(id, &symbols);
+            if seen >= skip {
+                visit(id, &symbols);
+            }
+            seen += 1;
         }
         if verify_file {
             check_footer(&mut reader, count, file_crc, file_len)?;
         }
         crate::obs::disk_bytes_read().add(reader.bytes_read());
         Ok(())
+    }
+
+    /// The tail scan behind [`SequenceScan::try_scan_from`] (see
+    /// [`DiskDb`]): reads the records from `a.start` on and the footer.
+    /// Returns `Ok(false)`, having visited nothing, when the header or the
+    /// file length is no longer the one the writer left.
+    fn scan_appended(
+        &self,
+        a: &Appended,
+        visit: &mut dyn FnMut(u64, &[Symbol]),
+    ) -> Result<bool, ScanError> {
+        let file_len = self.effective_len()?;
+        let mut head_reader = self.retry_reader(HEADER_LEN as usize)?;
+        let header = read_header(&mut head_reader)?;
+        if header.raw != a.header || file_len != a.file_len {
+            return Ok(false);
+        }
+        let checksummed = self.version != VERSION_V1;
+        let mut reader = self.retry_reader(SCAN_BUFFER)?;
+        reader.seek_to(a.start.offset)?;
+        let mut file_crc = a.start.crc;
+        let mut symbols: Vec<Symbol> = Vec::new();
+        let mut raw: Vec<u8> = Vec::new();
+        for index in a.start.index..header.count {
+            let id = read_record(
+                &mut reader,
+                index,
+                file_len,
+                checksummed,
+                &mut symbols,
+                &mut raw,
+                checksummed.then_some(&mut file_crc),
+            )?;
+            visit(id, &symbols);
+        }
+        if checksummed {
+            check_footer(&mut reader, header.count, file_crc, file_len)?;
+        }
+        crate::obs::disk_bytes_read().add(head_reader.bytes_read() + reader.bytes_read());
+        Ok(true)
+    }
+
+    /// Counts one scan of `pass` (a full or a tail scan), and its failure.
+    fn counted(&self, pass: impl FnOnce() -> Result<(), ScanError>) -> Result<(), ScanError> {
+        self.scans.fetch_add(1, Ordering::Relaxed);
+        crate::obs::disk_scans().inc();
+        pass().inspect_err(|_| crate::obs::fault_scan_failures().inc())
     }
 
     /// The quarantine census: one validation walk that classifies every
@@ -726,7 +964,7 @@ impl DiskDb {
     /// EOF, sweeping forward past anything that fails validation.
     fn run_census(&self) -> DiskResult<Census> {
         let file_len = self.effective_len()?;
-        let mut reader = self.retry_reader()?;
+        let mut reader = self.retry_reader(SCAN_BUFFER)?;
         let header = read_header(&mut reader)?;
         let checksummed = self.version != VERSION_V1;
         let mut symbols: Vec<Symbol> = Vec::new();
@@ -888,15 +1126,26 @@ impl SequenceScan for DiskDb {
     }
 
     fn try_scan(&self, visit: &mut dyn FnMut(u64, &[Symbol])) -> Result<(), ScanError> {
-        self.scans.fetch_add(1, Ordering::Relaxed);
-        crate::obs::disk_scans().inc();
-        match self.scan_records(visit) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                crate::obs::fault_scan_failures().inc();
-                Err(e)
+        self.counted(|| self.scan_records(0, visit))
+    }
+
+    fn try_scan_from(
+        &self,
+        skip: u64,
+        visit: &mut dyn FnMut(u64, &[Symbol]),
+    ) -> Result<(), ScanError> {
+        self.counted(|| {
+            let tail = self
+                .appended
+                .as_ref()
+                .filter(|a| a.start.index == skip && self.census.is_none());
+            if let Some(a) = tail {
+                if self.scan_appended(a, visit)? {
+                    return Ok(());
+                }
             }
-        }
+            self.scan_records(skip, visit)
+        })
     }
 }
 

@@ -101,13 +101,17 @@ pub type ModelIoResult<T> = Result<T, ModelIoError>;
 
 /// Serializes a model to its complete NMMODEL file bytes (deterministic).
 pub fn model_bytes(model: &PatternModel) -> Vec<u8> {
-    let payload = encode_payload(model);
+    frame(&encode_payload(model))
+}
+
+/// Frames a payload as complete NMMODEL file bytes.
+fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
     out.extend_from_slice(NMMODEL_MAGIC);
     out.put_u32(NMMODEL_VERSION);
     out.put_u64(payload.len() as u64);
-    out.extend_from_slice(&payload);
-    out.put_u32(crc32c(&payload));
+    out.extend_from_slice(payload);
+    out.put_u32(crc32c(payload));
     out.put_u32(crc32c(&out));
     out
 }
@@ -297,14 +301,16 @@ fn decode_payload(bytes: &[u8]) -> Result<PatternModel, Error> {
         columns.push(col);
     }
     let matrix = CompatibilityMatrix::scores_from_sparse_columns(columns)?;
-    let count = r.u32("pattern count").map_err(field)? as usize;
-    let mut patterns = Vec::with_capacity(count.min(1 << 20));
+    // Both counts are bounded by the bytes left before anything is
+    // reserved; an element takes at least its tag byte.
+    let count = r
+        .count_u32(MIN_PATTERN_LEN, "pattern count")
+        .map_err(field)?;
+    let mut patterns = Vec::with_capacity(count);
     for i in 0..count {
-        let elems_len = r.u32("pattern length").map_err(field)? as usize;
-        if elems_len == 0 || elems_len > 1 << 20 {
-            return Err(payload_err(format!(
-                "pattern {i} length {elems_len} out of range"
-            )));
+        let elems_len = r.count_u32(1, "pattern length").map_err(field)?;
+        if elems_len == 0 {
+            return Err(payload_err(format!("pattern {i} is empty")));
         }
         let mut elems = Vec::with_capacity(elems_len);
         for _ in 0..elems_len {
@@ -373,6 +379,10 @@ fn decode_payload(bytes: &[u8]) -> Result<PatternModel, Error> {
     }
     Ok(model)
 }
+
+/// Fewest bytes an encoded pattern takes: element count u32, one element
+/// tag u8, match estimate f64, provenance u8.
+const MIN_PATTERN_LEN: usize = 4 + 1 + 8 + 1;
 
 /// A payload field that failed to decode.
 fn field(e: ByteError) -> Error {
@@ -559,6 +569,44 @@ mod tests {
         bytes[n - 8] ^= 1;
         let err = decode_payload(&bytes).unwrap_err();
         assert!(err.to_string().contains("trie"), "{err}");
+    }
+
+    #[test]
+    fn forged_counts_fail_before_any_reservation() {
+        // An empty model's pattern count sits just before the trailing
+        // trie node count. Claiming 2^20 patterns under valid checksums
+        // used to reserve 2^20 pattern slots (40 MiB) before the first
+        // pattern read failed; the count is now checked against the bytes
+        // left first.
+        let alphabet = Alphabet::synthetic(3);
+        let matrix = CompatibilityMatrix::identity(3);
+        let empty = MineOutcome {
+            frequent: Vec::new(),
+            border: Border::default(),
+            symbol_match: vec![0.0; 3],
+            stats: MineStats::default(),
+        };
+        let model = PatternModel::from_outcome(&empty, &alphabet, &matrix, 0.5, 1);
+        let mut payload = encode_payload(&model);
+        let at = payload.len() - 12;
+        payload[at..at + 4].copy_from_slice(&(1u32 << 20).to_le_bytes());
+        let err = decode_model_file(&frame(&payload)).unwrap_err();
+        assert!(
+            err.to_string().contains("pattern count is out of range"),
+            "{err}"
+        );
+
+        // One pattern claiming 2^20 elements, with bytes for a single one.
+        let mut payload = encode_payload(&model);
+        payload.truncate(payload.len() - 12);
+        payload.put_u32(1);
+        payload.put_u32(1 << 20);
+        payload.extend_from_slice(&[0; 1 + 8 + 1 + 8]);
+        let err = decode_model_file(&frame(&payload)).unwrap_err();
+        assert!(
+            err.to_string().contains("pattern length is out of range"),
+            "{err}"
+        );
     }
 
     #[test]

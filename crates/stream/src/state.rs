@@ -177,20 +177,22 @@ impl StreamState {
     /// skipping the first `skip` sequences (those already ingested).
     /// Returns the number of sequences ingested.
     ///
+    /// One [`SequenceScan::try_scan_from`]: on a log just extended by
+    /// [`DiskDbWriter::finish`], with `skip` the count before the append,
+    /// that reads only the appended records.
+    ///
     /// On `Err` the sequences visited before the fault have already been
     /// ingested; `total_seen() − skip` tells how far the scan got, and the
     /// caller can resume with a fresh `ingest_from(db, state.total_seen())`
     /// once the store recovers.
+    ///
+    /// [`DiskDbWriter::finish`]: noisemine_seqdb::DiskDbWriter::finish
     pub fn ingest_from<S: SequenceScan + ?Sized>(&mut self, db: &S, skip: u64) -> Result<u64> {
-        let mut seen = 0u64;
         let mut ingested = 0u64;
         let state = &mut *self;
-        db.try_scan(&mut |_id, seq| {
-            if seen >= skip {
-                state.ingest(seq);
-                ingested += 1;
-            }
-            seen += 1;
+        db.try_scan_from(skip, &mut |_id, seq| {
+            state.ingest(seq);
+            ingested += 1;
         })?;
         Ok(ingested)
     }
