@@ -6,7 +6,8 @@
 //! advantage becomes more substantial when the pattern is long" — but sets
 //! them aside because its target data is disk-resident. This module
 //! implements that alternative for the match model, so the trade-off can
-//! be measured rather than assumed (see the `mining` Criterion bench).
+//! be measured rather than assumed (see the depth-first row of the
+//! `ablations` binary in `noisemine-bench`).
 //!
 //! The key idea adapts prefix-projection to the match metric: for the
 //! current pattern `P`, keep the **occurrence list** — every window start

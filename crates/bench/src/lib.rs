@@ -3,7 +3,10 @@
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation (Section 5). Each `src/bin/` binary reproduces one
 //! figure and prints the same rows/series the paper reports; `run_all`
-//! executes the full suite. Criterion microbenchmarks live in `benches/`.
+//! executes the full suite. `ablations` times the DESIGN.md ✦ decisions
+//! against their naive alternatives, and `match_kernel`, `scan_parallel`
+//! and `serve_load` are the layer benches behind the committed
+//! `BENCH_*.json` baselines.
 //!
 //! All binaries take `--key value` overrides for scale parameters; the
 //! defaults are laptop-scale versions of the paper's workloads, chosen to

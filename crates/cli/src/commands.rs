@@ -648,15 +648,11 @@ pub fn cmd_serve(opts: &Opts) -> CliResult<()> {
         None
     };
     let drift_controller = supervisor.as_ref().and_then(|s| s.controller());
-    let idle_timeout = opts.num("idle-timeout", 10.0f64)?;
-    if !idle_timeout.is_finite() || idle_timeout <= 0.0 {
-        return Err(format!("--idle-timeout must be positive seconds, got {idle_timeout}").into());
-    }
     let config = noisemine_serve::ServeConfig {
         addr: opts.get_or("addr", "127.0.0.1:7700").to_string(),
         threads: opts.num("threads", 4usize)?.max(1),
         max_requests_per_conn: opts.num("max-requests-per-conn", 0usize)?,
-        idle_timeout: std::time::Duration::from_secs_f64(idle_timeout),
+        idle_timeout: positive_secs(opts, "idle-timeout", 10.0)?,
         kernel: parse_kernel(opts)?,
         ..noisemine_serve::ServeConfig::default()
     };
@@ -759,11 +755,15 @@ pub fn cmd_stream(opts: &Opts) -> CliResult<()> {
     let chunk = opts.num("chunk", 1000usize)?.max(1);
     let format = parse_format(opts)?;
 
+    let config = miner_config(opts, 1000)?;
     let checkpoint_path = opts.get("checkpoint").map(Path::new);
     let mut engine = match checkpoint_path {
         Some(path) if path.exists() => {
-            let engine = StreamState::restore(path, matrix.clone())
+            let mut engine = StreamState::restore(path, matrix.clone())
                 .map_err(|e| format!("{}: {e}", path.display()))?;
+            // The checkpoint holds the mining configuration; the operational
+            // flags still come from this command line.
+            engine.set_operational(config.threads, config.match_kernel);
             eprintln!(
                 "restored checkpoint {} ({} sequences already ingested)",
                 path.display(),
@@ -771,8 +771,7 @@ pub fn cmd_stream(opts: &Opts) -> CliResult<()> {
             );
             engine
         }
-        _ => StreamState::new(matrix.clone(), miner_config(opts, 1000)?)
-            .map_err(|e| e.to_string())?,
+        _ => StreamState::new(matrix.clone(), config).map_err(|e| e.to_string())?,
     };
 
     let already = engine.total_seen() as usize;

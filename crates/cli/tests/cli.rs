@@ -495,6 +495,100 @@ fn stream_metrics_out_tracks_ingest() {
     std::fs::remove_file(&metrics).ok();
 }
 
+#[test]
+fn stream_resume_applies_operational_flags() {
+    let db = tmp("resume-db.txt");
+    let prefix = tmp("resume-prefix.txt");
+    let matrix = tmp("resume-m.txt");
+    let ckpt = tmp("resume.ckpt");
+    let out = noisemine(&[
+        "gen",
+        "--out",
+        db.to_str().unwrap(),
+        "--matrix-out",
+        matrix.to_str().unwrap(),
+        "--sequences",
+        "4000",
+        "--min-len",
+        "20",
+        "--max-len",
+        "30",
+        "--motifs",
+        "AMTKY:0.5",
+        "--noise",
+        "partner:0.3",
+        "--seed",
+        "11",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&db).unwrap();
+    let head: Vec<&str> = text.lines().take(1000).collect();
+    std::fs::write(&prefix, head.join("\n") + "\n").unwrap();
+    let out = noisemine(&[
+        "stream",
+        "--db",
+        prefix.to_str().unwrap(),
+        "--matrix",
+        matrix.to_str().unwrap(),
+        "--normalize",
+        "--min-match",
+        "0.1",
+        "--delta",
+        "0.05",
+        "--max-len",
+        "8",
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    // The 3 000-sequence tail drifts, and its re-mine's last scan is large
+    // enough that `--threads 0` would use every core. The restored engine
+    // must run on the worker count this command line asks for.
+    for threads in [1, 2] {
+        let resumed = tmp(&format!("resume-{threads}.ckpt"));
+        let metrics = tmp(&format!("resume-{threads}-metrics.json"));
+        std::fs::copy(&ckpt, &resumed).unwrap();
+        let out = noisemine(&[
+            "stream",
+            "--db",
+            db.to_str().unwrap(),
+            "--matrix",
+            matrix.to_str().unwrap(),
+            "--normalize",
+            "--checkpoint",
+            resumed.to_str().unwrap(),
+            "--chunk",
+            "5000",
+            "--threads",
+            &threads.to_string(),
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        assert!(
+            stderr(&out).contains("re-mined at 4000 sequences"),
+            "{}",
+            stderr(&out)
+        );
+        let snap = std::fs::read_to_string(&metrics).expect("metrics file written");
+        let workers = snap
+            .lines()
+            .find(|l| l.contains("\"parallel_scan_workers\""))
+            .expect("worker gauge registered");
+        assert!(
+            workers.contains(&format!("\"value\": {threads}}}")),
+            "{workers}"
+        );
+        std::fs::remove_file(&resumed).ok();
+        std::fs::remove_file(&metrics).ok();
+    }
+
+    for path in [&db, &prefix, &matrix, &ckpt] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
 /// Generates a text database, converts it to `.nmdb`, and returns the
 /// paths (text, matrix, binary).
 fn generate_binary(stem: &str) -> (PathBuf, PathBuf, PathBuf) {
@@ -802,34 +896,37 @@ fn serve_rejects_an_unusable_drift_config_at_startup() {
     assert!(out.status.success(), "{}", stderr(&out));
 
     // --drift-max-len 0 admits no pattern at all: serve must refuse to
-    // start rather than accept traffic it can never re-mine. A server
-    // that starts anyway is killed after the deadline.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_noisemine"))
-        .args([
-            "serve",
-            "--model",
-            model.to_str().unwrap(),
-            "--drift",
-            "--drift-max-len",
-            "0",
-            "--addr",
-            "127.0.0.1:0",
-        ])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("serve runs");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    while child.try_wait().unwrap().is_none() {
-        if std::time::Instant::now() > deadline {
-            child.kill().ok();
-            panic!("serve started with --drift-max-len 0");
+    // start rather than accept traffic it can never re-mine. A zero idle
+    // timeout is refused the same way. A server that starts anyway is
+    // killed after the deadline.
+    let refused: [(&[&str], &str); 2] = [
+        (&["--drift", "--drift-max-len", "0"], "--drift-max-len"),
+        (
+            &["--idle-timeout", "0"],
+            "--idle-timeout must be positive seconds, got 0",
+        ),
+    ];
+    for (flags, message) in refused {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_noisemine"))
+            .args(["serve", "--model", model.to_str().unwrap()])
+            .args(flags)
+            .args(["--addr", "127.0.0.1:0"])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("serve runs");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while child.try_wait().unwrap().is_none() {
+            if std::time::Instant::now() > deadline {
+                child.kill().ok();
+                panic!("serve started with {flags:?}");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
         }
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(2));
+        assert!(stderr(&out).contains(message), "{}", stderr(&out));
     }
-    let out = child.wait_with_output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--drift-max-len"), "{}", stderr(&out));
 
     std::fs::remove_file(&db).ok();
     std::fs::remove_file(&matrix).ok();

@@ -449,12 +449,7 @@ impl DiskDbWriter {
     pub fn append(path: impl AsRef<Path>) -> DiskResult<Self> {
         let path = path.as_ref().to_path_buf();
         // Validate header + count via the reader path.
-        let existing = DiskDb::open_buffered(
-            &path,
-            FaultPolicy::Strict,
-            FaultPlan::new(),
-            HEADER_LEN as usize,
-        )?;
+        let existing = DiskDb::open(&path)?;
         let count = existing.count;
         let version = existing.version;
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
@@ -698,25 +693,12 @@ impl DiskDb {
 
     /// Full-control constructor: `plan` (used by
     /// [`crate::fault::FaultyStore`]) injects deterministic faults into
-    /// every read this database performs, including this open.
+    /// every read this database performs, including this open. The open
+    /// reads the header alone.
     pub(crate) fn open_opts(
         path: impl AsRef<Path>,
         policy: FaultPolicy,
         plan: FaultPlan,
-    ) -> DiskResult<Self> {
-        Self::open_buffered(path, policy, plan, SCAN_BUFFER)
-    }
-
-    /// [`DiskDb::open_opts`], reading the header through a buffer of
-    /// `header_buffer` bytes. Opens that go on to scan use a full scan
-    /// buffer, so an injected fault in the first buffer's reach surfaces
-    /// at open as it would in the scan's first read;
-    /// [`DiskDbWriter::append`] reads the header alone.
-    fn open_buffered(
-        path: impl AsRef<Path>,
-        policy: FaultPolicy,
-        plan: FaultPlan,
-        header_buffer: usize,
     ) -> DiskResult<Self> {
         let path = path.as_ref().to_path_buf();
         let mut db = Self {
@@ -729,7 +711,7 @@ impl DiskDb {
             appended: None,
             scans: AtomicUsize::new(0),
         };
-        let header = read_header(&mut db.retry_reader(header_buffer)?)?;
+        let header = read_header(&mut db.retry_reader(HEADER_LEN as usize)?)?;
         if !header.magic_ok {
             return Err(DiskError::Format("bad magic; not a noisemine seqdb".into()));
         }

@@ -86,10 +86,13 @@ fn strict_surfaces_first_fault_with_offset() {
 fn strict_fails_fast_on_transients() {
     let seqs = sequences(10);
     let path = build_db("strict-transient.nmdb", &seqs);
-    // Strict has a zero-retry budget, so the very first read that covers
-    // the faulty site — the buffered header read at open — surfaces it.
+    // The open reads the header alone, so it never reaches the site. The
+    // site heals after one failure, so a single retry would get past it:
+    // the first scan failing on it proves Strict grants zero retries.
     let plan = FaultPlan::new().transient_at(HEADER + 2 * REC, 1);
-    let err = FaultyStore::open(&path, plan, FaultPolicy::Strict).unwrap_err();
+    let store = FaultyStore::open(&path, plan, FaultPolicy::Strict).unwrap();
+    let err = store.try_scan(&mut |_, _| {}).unwrap_err();
+    assert_eq!(err.kind(), ScanErrorKind::Transient, "{err}");
     assert!(err.to_string().contains("transient"), "{err}");
     std::fs::remove_file(&path).unwrap();
 }
@@ -173,9 +176,10 @@ fn retry_exhaustion_surfaces_the_fault() {
     let seqs = sequences(10);
     let path = build_db("retry-exhaust.nmdb", &seqs);
     // A site that fails more times than the budget allows: the fault
-    // outlives every retry and surfaces as a transient error.
+    // outlives every retry and surfaces as a transient error at the first
+    // scan (the open reads the header alone).
     let plan = FaultPlan::new().transient_at(HEADER + REC, 10);
-    let err = FaultyStore::open(
+    let store = FaultyStore::open(
         &path,
         plan,
         FaultPolicy::Retry {
@@ -183,7 +187,9 @@ fn retry_exhaustion_surfaces_the_fault() {
             backoff: Duration::ZERO,
         },
     )
-    .unwrap_err();
+    .unwrap();
+    let err = store.try_scan(&mut |_, _| {}).unwrap_err();
+    assert_eq!(err.kind(), ScanErrorKind::Transient, "{err}");
     assert!(err.to_string().contains("transient"), "{err}");
     std::fs::remove_file(&path).unwrap();
 }

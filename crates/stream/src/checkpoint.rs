@@ -30,7 +30,8 @@
 //! at restore time, and the checkpoint's fingerprint guards against mixing
 //! state with a different matrix. The config's `threads` field is also not
 //! stored: it is purely operational (results are bit-identical at any
-//! thread count), so a restored engine starts with `threads = 0` (auto).
+//! thread count), so a restored engine starts with `threads = 0` (auto)
+//! until the caller sets it with [`StreamState::set_operational`].
 //! Writes go through a temporary file and a rename, so a crash
 //! mid-checkpoint leaves the previous checkpoint intact.
 

@@ -31,7 +31,7 @@ use noisemine_core::chernoff::epsilon;
 use noisemine_core::matching::{sequence_match, SequenceScan, SymbolMatchScratch};
 use noisemine_core::miner::{mine_from_phase1, MineOutcome, MinerConfig, Phase1Output};
 use noisemine_core::parallel::SCAN_BLOCK_SIZE;
-use noisemine_core::{Alphabet, CompatibilityMatrix, Pattern, PatternModel, Symbol};
+use noisemine_core::{Alphabet, CompatibilityMatrix, MatchKernel, Pattern, PatternModel, Symbol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -210,6 +210,15 @@ impl StreamState {
     /// The engine's miner configuration.
     pub fn config(&self) -> &MinerConfig {
         &self.config
+    }
+
+    /// Sets the operational fields of the configuration: the worker count
+    /// (`0` = all cores) and the match kernel. Neither is checkpointed and
+    /// neither changes a result, so a restored engine takes them from its
+    /// caller.
+    pub fn set_operational(&mut self, threads: usize, match_kernel: MatchKernel) {
+        self.config.threads = threads;
+        self.config.match_kernel = match_kernel;
     }
 
     /// The engine's compatibility matrix.
