@@ -9,8 +9,7 @@ use noisemine_core::border_collapse::ProbeStrategy;
 use noisemine_core::matching::{db_match, db_support, MatchMetric, MemorySequences, SequenceScan};
 use noisemine_core::miner::{mine, MinerConfig};
 use noisemine_core::{
-    matrix_io, Alphabet, CompatibilityMatrix, MatchKernel, Pattern, PatternModel, PatternSpace,
-    Symbol,
+    matrix_io, Alphabet, CompatibilityMatrix, Pattern, PatternModel, PatternSpace, Symbol,
 };
 use noisemine_datagen::learn_matrix;
 use noisemine_datagen::noise::{channel_to_compatibility, partner_channel};
@@ -371,7 +370,6 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
         "strategy",
         "seed",
         "threads",
-        "kernel",
         "limit",
         "top",
         "format",
@@ -512,7 +510,6 @@ fn miner_config(opts: &Opts, default_sample: usize) -> CliResult<MinerConfig> {
         },
         seed: opts.num("seed", 2002u64)?,
         threads: opts.num("threads", 0usize)?,
-        match_kernel: parse_kernel(opts)?,
         ..MinerConfig::default()
     })
 }
@@ -551,7 +548,6 @@ pub fn cmd_serve(opts: &Opts) -> CliResult<()> {
         "model",
         "addr",
         "threads",
-        "kernel",
         "tenant-quota",
         "metrics-out",
         "max-requests-per-conn",
@@ -653,7 +649,6 @@ pub fn cmd_serve(opts: &Opts) -> CliResult<()> {
         threads: opts.num("threads", 4usize)?.max(1),
         max_requests_per_conn: opts.num("max-requests-per-conn", 0usize)?,
         idle_timeout: positive_secs(opts, "idle-timeout", 10.0)?,
-        kernel: parse_kernel(opts)?,
         ..noisemine_serve::ServeConfig::default()
     };
     let server = noisemine_serve::Server::start_with(&config, registry, drift_controller)
@@ -679,18 +674,6 @@ fn positive_secs(opts: &Opts, name: &str, default: f64) -> CliResult<std::time::
         return Err(format!("--{name} must be positive seconds, got {secs}").into());
     }
     Ok(std::time::Duration::from_secs_f64(secs))
-}
-
-/// Parses `--kernel trie|naive|simd` into a [`MatchKernel`] (default:
-/// trie — the batched candidate-trie kernel; naive is the per-pattern
-/// reference oracle, bit-identical but slower; simd is the columnar
-/// AVX2 kernel, held to the trie's values by a zero-ULP contract, with a
-/// portable scalar path on hosts without AVX2+FMA or under
-/// `NOISEMINE_FORCE_SCALAR=1`).
-fn parse_kernel(opts: &Opts) -> CliResult<MatchKernel> {
-    let name = opts.get_or("kernel", "trie");
-    MatchKernel::parse(name)
-        .ok_or_else(|| format!("unknown --kernel {name:?}; use trie, naive, or simd").into())
 }
 
 /// Parses `--on-fault strict|retry[:N]|quarantine` into a [`FaultPolicy`]
@@ -743,7 +726,6 @@ pub fn cmd_stream(opts: &Opts) -> CliResult<()> {
         "strategy",
         "seed",
         "threads",
-        "kernel",
         "limit",
         "format",
         "metrics-out",
@@ -761,9 +743,9 @@ pub fn cmd_stream(opts: &Opts) -> CliResult<()> {
         Some(path) if path.exists() => {
             let mut engine = StreamState::restore(path, matrix.clone())
                 .map_err(|e| format!("{}: {e}", path.display()))?;
-            // The checkpoint holds the mining configuration; the operational
-            // flags still come from this command line.
-            engine.set_operational(config.threads, config.match_kernel);
+            // The checkpoint holds the mining configuration; the worker
+            // count still comes from this command line.
+            engine.set_threads(config.threads);
             eprintln!(
                 "restored checkpoint {} ({} sequences already ingested)",
                 path.display(),
@@ -848,7 +830,8 @@ pub fn cmd_stream(opts: &Opts) -> CliResult<()> {
 
 /// Prints mined patterns in the chosen output format. `json` emits an
 /// array of `{"pattern": ..., "match": ...}` objects (strings escaped per
-/// RFC 8259); `csv` a two-column file; `table` an aligned listing.
+/// RFC 8259 by the serving layer's JSON escaper); `csv` a two-column file;
+/// `table` an aligned listing.
 fn emit(
     patterns: &[(Pattern, f64)],
     limit: usize,
@@ -887,21 +870,11 @@ fn emit(
             "json" => {
                 writeln!(out, "[")?;
                 for (i, (p, v)) in rows.iter().enumerate() {
-                    let escaped: String = p
-                        .chars()
-                        .flat_map(|c| match c {
-                            '"' => "\\\"".chars().collect::<Vec<_>>(),
-                            '\\' => "\\\\".chars().collect(),
-                            c if (c as u32) < 0x20 => {
-                                format!("\\u{:04x}", c as u32).chars().collect()
-                            }
-                            c => vec![c],
-                        })
-                        .collect();
                     let comma = if i + 1 < rows.len() { "," } else { "" };
                     writeln!(
                         out,
-                        "  {{\"pattern\": \"{escaped}\", \"match\": {v}}}{comma}"
+                        "  {{\"pattern\": {}, \"match\": {v}}}{comma}",
+                        noisemine_serve::json::escape(p)
                     )?;
                 }
                 writeln!(out, "]")?;

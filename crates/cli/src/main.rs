@@ -8,27 +8,30 @@
 //! noisemine mine    --db db.txt|db.nmdb [--matrix m.txt] [--normalize] [--min-match 0.1]
 //!                   [--algorithm three-phase|levelwise|depth-first|max-miner] [--top k]
 //!                   [--max-gap 0] [--max-len 16] [--sample N] [--strategy border|levelwise]
-//!                   [--threads 0] [--kernel trie|naive|simd]
-//!                   [--metrics-out m.json]
+//!                   [--threads 0] [--metrics-out m.json]
 //!                   [--on-fault strict|retry[:N]|quarantine]   (.nmdb inputs)
 //! noisemine stream  --db db.txt [--matrix m.txt] [--checkpoint state.ckpt]
 //!                   [--chunk 1000] [--min-match 0.1] [--sample 1000] [--threads 0]
-//!                   [--kernel trie|naive|simd] [--metrics-out m.json]
+//!                   [--metrics-out m.json]
 //! noisemine convert --db db.txt --out db.nmdb [--matrix m.txt]
 //! noisemine serve   [--model [tenant=]model.nmmodel[,t2=m2.nmmodel]] [--catalog dir]
 //!                   [--catalog-interval 2] [--drift] [--drift-interval 1]
 //!                   [--drift-min-seqs 256] [--remine-timeout 30] [--remine-backoff 1]
 //!                   [--remine-backoff-max 60] [--breaker-threshold 5]
 //!                   [--breaker-cooldown 30] [--addr 127.0.0.1:7700]
-//!                   [--threads 4] [--kernel trie|naive|simd] [--tenant-quota 0]
+//!                   [--threads 4] [--tenant-quota 0]
 //!                   [--max-requests-per-conn 0]
 //!                   [--idle-timeout 10] [--metrics-out m.json]
 //! ```
+//!
+//! Every command scores candidate batches with the batched candidate-trie
+//! kernel. The naive and columnar kernels of `noisemine_core::MatchKernel`
+//! are library and benchmark paths only.
 
 mod commands;
 mod opts;
 
-use opts::{CliResult, Opts};
+use opts::{CliError, CliResult, Opts};
 
 const USAGE: &str = "\
 noisemine — mine long sequential patterns in noisy data (Yang/Wang/Yu/Han, SIGMOD 2002)
@@ -44,8 +47,7 @@ USAGE:
                     [--algorithm three-phase|levelwise|depth-first|max-miner]
                     [--max-gap 0] [--max-len 16] [--sample N] [--delta 0.001]
                     [--counters 100000] [--strategy border|levelwise]
-                    [--seed 2002] [--threads 0] [--kernel trie|naive|simd]
-                    [--limit 50] [--top k]
+                    [--seed 2002] [--threads 0] [--limit 50] [--top k]
                     [--metrics-out m.json]
                     [--on-fault strict|retry[:N]|quarantine]
                     [--model-out model.nmmodel] [--model-version 1]
@@ -53,8 +55,8 @@ USAGE:
                     [--checkpoint state.ckpt] [--chunk 1000] [--min-match 0.1]
                     [--sample 1000] [--delta 0.001] [--counters 100000]
                     [--max-gap 0] [--max-len 16] [--strategy border|levelwise]
-                    [--seed 2002] [--threads 0] [--kernel trie|naive|simd]
-                    [--limit 50] [--metrics-out m.json]
+                    [--seed 2002] [--threads 0] [--limit 50]
+                    [--metrics-out m.json]
   noisemine learn   --truth clean.txt --observed noisy.txt --out m.txt [--lambda 0.1]
   noisemine convert --db db.txt --out db.nmdb [--matrix m.txt]
   noisemine serve   [--model [tenant=]model.nmmodel[,t2=m2.nmmodel]]
@@ -66,7 +68,6 @@ USAGE:
                     [--drift-max-len 8] [--drift-max-gap 0]
                     [--drift-max-buffer 100000]
                     [--addr 127.0.0.1:7700] [--threads 4] [--tenant-quota 0]
-                    [--kernel trie|naive|simd]
                     [--max-requests-per-conn 0] [--idle-timeout 10]
                     [--metrics-out m.json]
 
@@ -78,32 +79,26 @@ diagonal-normalized score matrix (match on the noise-free support scale).
 drift past the Chernoff bound, and persists engine state via --checkpoint so
 a later run over a grown file resumes from the tail. --threads sets the
 worker count of all three phases of the miner (0 = auto); results are
-bit-identical at any thread count. --kernel picks the candidate evaluation kernel (trie =
-batched candidate-trie, the default; naive = per-pattern reference; simd =
-columnar AVX2 kernel, 8 windows per step, with a portable scalar path on
-hosts without AVX2+FMA or under NOISEMINE_FORCE_SCALAR=1) — all kernels
-produce identical values (simd is held to the trie by a zero-ULP contract),
-so this only affects speed. `serve --kernel` applies the same choice to
-/classify scoring. --metrics-out enables the observability layer and writes
-a metrics snapshot to the given path (JSON, or Prometheus text when the path
-ends in .prom/.txt); `stream` rewrites it after every chunk. Metrics never
-change mining output — see docs/OBSERVABILITY.md. `mine` also accepts a
-binary .nmdb database (three-phase only): scans then stream from disk under
-the --on-fault policy — strict fails on the first damaged byte, retry[:N]
-rides out transient I/O faults, quarantine skips corrupt records and mines
-the surviving subset — see docs/ROBUSTNESS.md. `mine --model-out` also
-writes the three-phase outcome as a versioned, checksummed NMMODEL serving
-artifact; `serve` loads such artifacts into per-tenant slots and answers
-classification requests over HTTP until POST /admin/shutdown — hot-swap
-models with POST /admin/swap, scrape Prometheus metrics from /metrics, and
-cap tenants at --tenant-quota requests/second (0 = unlimited). `serve
---catalog` watches a directory of <tenant>/<version>.nmmodel artifacts and
-crash-safely adopts the newest valid version per tenant (torn/corrupt files
-are ignored; the last-good model keeps serving); `serve --drift` feeds
-classified traffic to per-tenant drift detectors and re-mines + self-swaps
-models in-process under a supervised, circuit-broken re-mine loop. /healthz
-is liveness only; /readyz reports per-tenant readiness with degradation
-reasons — see docs/SERVING.md.";
+bit-identical at any thread count. --metrics-out enables the observability
+layer and writes a metrics snapshot to the given path (JSON, or Prometheus
+text when the path ends in .prom/.txt); `stream` rewrites it after every
+chunk. Metrics never change mining output — see docs/OBSERVABILITY.md.
+`mine` also accepts a binary .nmdb database (three-phase only): scans then
+stream from disk under the --on-fault policy — strict fails on the first
+damaged byte, retry[:N] rides out transient I/O faults, quarantine skips
+corrupt records and mines the surviving subset — see docs/ROBUSTNESS.md.
+`mine --model-out` also writes the three-phase outcome as a versioned,
+checksummed NMMODEL serving artifact; `serve` loads such artifacts into
+per-tenant slots and answers classification requests over HTTP until POST
+/admin/shutdown — hot-swap models with POST /admin/swap, scrape Prometheus
+metrics from /metrics, and cap tenants at --tenant-quota requests/second
+(0 = unlimited). `serve --catalog` watches a directory of
+<tenant>/<version>.nmmodel artifacts and crash-safely adopts the newest
+valid version per tenant (torn/corrupt files are ignored; the last-good
+model keeps serving); `serve --drift` feeds classified traffic to per-tenant
+drift detectors and re-mines + self-swaps models in-process under a
+supervised, circuit-broken re-mine loop. /healthz is liveness only; /readyz
+reports per-tenant readiness with degradation reasons — see docs/SERVING.md.";
 
 fn run() -> CliResult<()> {
     let opts = Opts::parse(std::env::args().skip(1))?;
@@ -120,13 +115,17 @@ fn run() -> CliResult<()> {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown subcommand {other:?}").into()),
+        other => Err(CliError::usage(format!("unknown subcommand {other:?}"))),
     }
 }
 
 fn main() {
     if let Err(e) = run() {
-        eprintln!("error: {e}\n\n{USAGE}");
+        if e.usage {
+            eprintln!("error: {e}\n\n{USAGE}");
+        } else {
+            eprintln!("error: {e}");
+        }
         std::process::exit(2);
     }
 }

@@ -1,7 +1,7 @@
 //! Minimal subcommand + `--key value` option parsing for the `noisemine`
 //! binary. Dependency-free on purpose (the workspace's allowed dependency
 //! set has no CLI crate); errors are returned, not panicked, so `main` can
-//! print usage.
+//! print usage after a mistake in the command line.
 
 use std::collections::HashMap;
 
@@ -14,27 +14,46 @@ pub struct Opts {
     flags: Vec<String>,
 }
 
-/// A user-facing CLI error (printed with usage, exit code 2).
+/// A user-facing CLI error (exit code 2). Errors converted from a message
+/// are runtime failures; [`CliError::usage`] marks a mistake in the command
+/// line itself, the only kind `main` follows with the usage text.
 #[derive(Debug)]
-pub struct CliError(pub String);
+pub struct CliError {
+    message: String,
+    /// Whether the command line itself is at fault.
+    pub usage: bool,
+}
+
+impl CliError {
+    /// An error in the command line itself (printed with usage).
+    pub fn usage(message: impl Into<String>) -> Self {
+        Self {
+            message: message.into(),
+            usage: true,
+        }
+    }
+}
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
+        f.write_str(&self.message)
     }
 }
 
 impl std::error::Error for CliError {}
 
 impl From<String> for CliError {
-    fn from(s: String) -> Self {
-        CliError(s)
+    fn from(message: String) -> Self {
+        Self {
+            message,
+            usage: false,
+        }
     }
 }
 
 impl From<&str> for CliError {
-    fn from(s: &str) -> Self {
-        CliError(s.to_string())
+    fn from(message: &str) -> Self {
+        message.to_string().into()
     }
 }
 
@@ -54,15 +73,15 @@ impl Opts {
             .first()
             .filter(|t| !t.starts_with("--"))
             .cloned()
-            .ok_or("missing subcommand")?;
+            .ok_or_else(|| CliError::usage("missing subcommand"))?;
         let mut values = HashMap::new();
         let mut flags = Vec::new();
         let mut i = 1;
         while i < tokens.len() {
             let tok = &tokens[i];
-            let stripped = tok
-                .strip_prefix("--")
-                .ok_or_else(|| format!("unexpected positional argument {tok:?}"))?;
+            let stripped = tok.strip_prefix("--").ok_or_else(|| {
+                CliError::usage(format!("unexpected positional argument {tok:?}"))
+            })?;
             if let Some((k, v)) = stripped.split_once('=') {
                 values.insert(k.to_string(), v.to_string());
             } else if i + 1 < tokens.len() && !tokens[i + 1].starts_with("--") {
@@ -84,7 +103,7 @@ impl Opts {
     pub fn deny_unknown(&self, known: &[&str]) -> CliResult<()> {
         for key in self.values.keys().chain(self.flags.iter()) {
             if !known.contains(&key.as_str()) {
-                return Err(format!(
+                return Err(CliError::usage(format!(
                     "unrecognized option --{key} for `{}`; known options: {}",
                     self.command,
                     known
@@ -92,8 +111,7 @@ impl Opts {
                         .map(|k| format!("--{k}"))
                         .collect::<Vec<_>>()
                         .join(", ")
-                )
-                .into());
+                )));
             }
         }
         Ok(())
@@ -109,7 +127,7 @@ impl Opts {
         self.values
             .get(name)
             .map(String::as_str)
-            .ok_or_else(|| format!("`{}` requires --{name}", self.command).into())
+            .ok_or_else(|| CliError::usage(format!("`{}` requires --{name}", self.command)))
     }
 
     /// An optional string option.
@@ -128,7 +146,7 @@ impl Opts {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("--{name} got unparsable value {v:?}").into()),
+                .map_err(|_| CliError::usage(format!("--{name} got unparsable value {v:?}"))),
         }
     }
 }
@@ -149,19 +167,20 @@ mod tests {
 
     #[test]
     fn missing_subcommand() {
-        assert!(Opts::parse(Vec::<String>::new()).is_err());
+        assert!(Opts::parse(Vec::<String>::new()).unwrap_err().usage);
         assert!(Opts::parse(["--db", "x"]).is_err());
     }
 
     #[test]
     fn rejects_positional_after_command() {
-        assert!(Opts::parse(["mine", "stray"]).is_err());
+        assert!(Opts::parse(["mine", "stray"]).unwrap_err().usage);
     }
 
     #[test]
     fn deny_unknown_rejects() {
         let o = Opts::parse(["gen", "--bogus", "1"]).unwrap();
         let err = o.deny_unknown(&["out"]).unwrap_err();
+        assert!(err.usage);
         assert!(err.to_string().contains("--bogus"));
     }
 
@@ -169,12 +188,13 @@ mod tests {
     fn required_missing_names_option() {
         let o = Opts::parse(["match"]).unwrap();
         let err = o.required("pattern").unwrap_err();
+        assert!(err.usage);
         assert!(err.to_string().contains("--pattern"));
     }
 
     #[test]
     fn bad_number() {
         let o = Opts::parse(["gen", "--sequences", "lots"]).unwrap();
-        assert!(o.num::<usize>("sequences", 5).is_err());
+        assert!(o.num::<usize>("sequences", 5).unwrap_err().usage);
     }
 }

@@ -114,45 +114,6 @@ fn gen_stats_match_mine_round_trip() {
 }
 
 #[test]
-fn kernel_simd_mines_identically_to_trie() {
-    let db = tmp("kernel_simd_db.txt");
-    let matrix = tmp("kernel_simd_m.txt");
-    generate(&db, &matrix);
-    let mine_with = |kernel: &str| {
-        let out = noisemine(&[
-            "mine",
-            "--db",
-            db.to_str().unwrap(),
-            "--matrix",
-            matrix.to_str().unwrap(),
-            "--normalize",
-            "--min-match",
-            "0.15",
-            "--max-len",
-            "6",
-            "--limit",
-            "2000",
-            "--kernel",
-            kernel,
-        ]);
-        assert!(out.status.success(), "--kernel {kernel}: {}", stderr(&out));
-        stdout(&out)
-    };
-    let trie = mine_with("trie");
-    let simd = mine_with("simd");
-    assert!(trie.contains("AMTKY"), "{trie}");
-    assert_eq!(simd, trie, "--kernel simd output diverged from trie");
-
-    let out = noisemine(&["mine", "--db", db.to_str().unwrap(), "--kernel", "avx9000"]);
-    assert!(!out.status.success());
-    let err = stderr(&out);
-    assert!(err.contains("use trie, naive, or simd"), "{err}");
-
-    std::fs::remove_file(&db).ok();
-    std::fs::remove_file(&matrix).ok();
-}
-
-#[test]
 fn top_k_mode() {
     let db = tmp("topk-db.txt");
     let matrix = tmp("topk-m.txt");
@@ -202,18 +163,26 @@ fn convert_to_binary() {
 }
 
 #[test]
-fn index_option_is_gone_from_mine_and_convert() {
+fn retired_index_and_kernel_options_are_rejected() {
     // Rejected before any file is read, so the paths need not exist.
-    for args in [
-        &["mine", "--db", "db.txt", "--index", "build"][..],
-        &[
-            "convert", "--db", "db.txt", "--out", "db.nmdb", "--index", "build",
-        ][..],
+    let mine = ["mine", "--db", "db.txt"];
+    let convert = ["convert", "--db", "db.txt", "--out", "db.nmdb"];
+    let stream = ["stream", "--db", "db.txt"];
+    let serve = ["serve", "--model", "m.nmmodel"];
+    for (command, option, value) in [
+        (&mine[..], "index", "build"),
+        (&convert[..], "index", "build"),
+        (&mine[..], "kernel", "simd"),
+        (&stream[..], "kernel", "naive"),
+        (&serve[..], "kernel", "trie"),
     ] {
-        let out = noisemine(args);
+        let flag = format!("--{option}");
+        let mut args = command.to_vec();
+        args.extend([flag.as_str(), value]);
+        let out = noisemine(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(
-            stderr(&out).contains("unrecognized option --index"),
+            stderr(&out).contains(&format!("unrecognized option {flag}")),
             "{args:?}: {}",
             stderr(&out)
         );
@@ -237,11 +206,15 @@ fn error_paths_exit_nonzero_with_usage() {
     let out = noisemine(&["stats", "--bd", "x"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("unrecognized option --bd"));
+    assert!(stderr(&out).contains("USAGE"));
 
-    // Nonexistent database file.
+    // Nonexistent database file: a runtime failure, one line, no usage.
     let out = noisemine(&["stats", "--db", "/definitely/not/here.txt"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("does not exist"));
+    let err = stderr(&out);
+    assert!(err.contains("does not exist"));
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(!err.contains("USAGE"), "{err}");
 
     // Bad noise spec.
     let db = tmp("noise-db.txt");

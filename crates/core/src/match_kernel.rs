@@ -81,7 +81,8 @@ use crate::pattern::{Pattern, PatternElem};
 /// multiplication order per window, so its results agree within
 /// [`simd::SIMD_MAX_ULP`] (currently zero — see `simd` module docs). The
 /// naive path is retained as a reference oracle and for ablation
-/// benchmarks.
+/// benchmarks. Every product path (the CLI, streaming, serving) uses the
+/// default `Trie`; `Naive` and `Simd` are library and benchmark paths only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum MatchKernel {
     /// Evaluate each pattern independently with
@@ -98,17 +99,6 @@ pub enum MatchKernel {
 }
 
 impl MatchKernel {
-    /// Parses a kernel name (`"trie"` / `"naive"` / `"simd"`), as accepted
-    /// by the CLI `--kernel` flag.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "trie" => Some(Self::Trie),
-            "naive" => Some(Self::Naive),
-            "simd" => Some(Self::Simd),
-            _ => None,
-        }
-    }
-
     /// Short human-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -875,12 +865,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_parse_round_trips() {
-        assert_eq!(MatchKernel::parse("trie"), Some(MatchKernel::Trie));
-        assert_eq!(MatchKernel::parse("naive"), Some(MatchKernel::Naive));
-        assert_eq!(MatchKernel::parse("simd"), Some(MatchKernel::Simd));
-        assert_eq!(MatchKernel::parse("fast"), None);
-        assert_eq!(MatchKernel::default().name(), "trie");
+    fn kernel_names() {
+        assert_eq!(MatchKernel::default(), MatchKernel::Trie);
+        assert_eq!(MatchKernel::Trie.name(), "trie");
         assert_eq!(MatchKernel::Naive.name(), "naive");
         assert_eq!(MatchKernel::Simd.name(), "simd");
     }

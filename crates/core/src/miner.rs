@@ -75,7 +75,10 @@ pub struct MinerConfig {
     /// Which match kernel evaluates candidate batches in phases 2 and 3 —
     /// the batched [`CandidateTrie`](crate::match_kernel::CandidateTrie)
     /// (default), the naive per-pattern reference, or the columnar SIMD
-    /// kernel (`simd`, 8 windows per step). Purely operational, like
+    /// kernel (`simd`, 8 windows per step). Every product path (the
+    /// `noisemine` CLI, streaming, serving) uses the trie; the naive and
+    /// columnar kernels are library and benchmark paths only, kept for the
+    /// property suites and the kernel benchmarks. Purely operational, like
     /// `threads`: all three kernels produce identical values (trie/naive
     /// are bit-identical by construction; simd is bound to them by
     /// [`SIMD_MAX_ULP`](crate::match_kernel::simd::SIMD_MAX_ULP), currently

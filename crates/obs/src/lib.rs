@@ -104,6 +104,41 @@ pub fn histogram(name: &str, help: &str, unit: &str, bounds: Vec<f64>) -> Histog
     global().histogram(name, help, unit, bounds)
 }
 
+/// Defines a `pub(crate)` accessor for one metric of the [`global`]
+/// registry. The handle registers on the first call and is cached in a
+/// `OnceLock`, so later calls cost one atomic load. The three forms:
+///
+/// ```
+/// noisemine_obs::metric!(counter scans, "demo_scans_total", "Full scans", "scans");
+/// noisemine_obs::metric!(gauge width, "demo_width", "Batch width", "patterns");
+/// noisemine_obs::metric!(duration_histogram phase_seconds, "demo_phase_seconds", "Phase time");
+///
+/// scans().inc();
+/// width().set(3.0);
+/// drop(phase_seconds().span());
+/// ```
+#[macro_export]
+macro_rules! metric {
+    (counter $fn_name:ident, $name:literal, $help:literal, $unit:literal) => {
+        pub(crate) fn $fn_name() -> &'static $crate::Counter {
+            static H: ::std::sync::OnceLock<$crate::Counter> = ::std::sync::OnceLock::new();
+            H.get_or_init(|| $crate::counter($name, $help, $unit))
+        }
+    };
+    (gauge $fn_name:ident, $name:literal, $help:literal, $unit:literal) => {
+        pub(crate) fn $fn_name() -> &'static $crate::Gauge {
+            static H: ::std::sync::OnceLock<$crate::Gauge> = ::std::sync::OnceLock::new();
+            H.get_or_init(|| $crate::gauge($name, $help, $unit))
+        }
+    };
+    (duration_histogram $fn_name:ident, $name:literal, $help:literal) => {
+        pub(crate) fn $fn_name() -> &'static $crate::Histogram {
+            static H: ::std::sync::OnceLock<$crate::Histogram> = ::std::sync::OnceLock::new();
+            H.get_or_init(|| $crate::histogram($name, $help, "seconds", $crate::duration_buckets()))
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

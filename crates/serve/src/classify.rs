@@ -16,7 +16,7 @@
 //! [`SCAN_BLOCK_SIZE`]: noisemine_core::parallel::SCAN_BLOCK_SIZE
 
 use noisemine_core::parallel::SCAN_BLOCK_SIZE;
-use noisemine_core::{MatchKernel, Symbol};
+use noisemine_core::Symbol;
 
 use crate::registry::ServeModel;
 
@@ -34,24 +34,12 @@ pub struct Classification {
     pub db_match: Vec<f64>,
 }
 
-/// Classifies `sequences` against `model` with the default (trie) kernel.
+/// Classifies `sequences` against `model` with the trie kernel, the one
+/// offline `db_match_many` runs.
 ///
 /// Symbols must already be encoded against the model's alphabet (the HTTP
 /// layer handles name→symbol translation and range checks).
 pub fn classify(model: &ServeModel, sequences: &[Vec<Symbol>]) -> Classification {
-    classify_with(model, sequences, MatchKernel::Trie)
-}
-
-/// [`classify`] with an explicit [`MatchKernel`] (`noisemine serve
-/// --kernel`). Purely operational: the naive kernel falls back to the
-/// trie here (there is no per-pattern path worth keeping on the serving
-/// side), and the columnar simd kernel is held to the trie's values within
-/// a zero-ULP contract, so scores never depend on the choice.
-pub fn classify_with(
-    model: &ServeModel,
-    sequences: &[Vec<Symbol>],
-    kernel: MatchKernel,
-) -> Classification {
     let p = model.num_patterns();
     let mut per_sequence = Vec::with_capacity(sequences.len());
     let mut totals = vec![0.0f64; p];
@@ -63,27 +51,14 @@ pub fn classify_with(
             db_match: totals,
         };
     };
-    let simd = kernel == MatchKernel::Simd;
-    let mut trie_scratch = trie.scratch();
-    let mut simd_scratch = if simd {
-        Some(trie.simd_scratch())
-    } else {
-        None
-    };
+    let mut scratch = trie.scratch();
     let mut out = vec![0.0f64; p];
     // Block-ordered reduction: identical to try_db_match_many's block scan
     // over SCAN_BLOCK_SIZE-sequence blocks.
     for block in sequences.chunks(SCAN_BLOCK_SIZE) {
         let mut partial = vec![0.0f64; p];
         for seq in block {
-            match &mut simd_scratch {
-                Some(scratch) => {
-                    trie.batch_sequence_match_columnar(seq, &model.spec.matrix, scratch, &mut out)
-                }
-                None => {
-                    trie.batch_sequence_match(seq, &model.spec.matrix, &mut trie_scratch, &mut out)
-                }
-            }
+            trie.batch_sequence_match(seq, &model.spec.matrix, &mut scratch, &mut out);
             for (t, &v) in partial.iter_mut().zip(out.iter()) {
                 *t += v;
             }
@@ -173,23 +148,6 @@ mod tests {
         assert_eq!(result.db_match.len(), offline.len());
         for (i, (a, b)) in result.db_match.iter().zip(&offline).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "pattern {i}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn simd_kernel_scores_bits_equal_trie() {
-        let model = toy_model(7);
-        let seqs = toy_sequences(600, 24, 8);
-        let trie = classify_with(&model, &seqs, MatchKernel::Trie);
-        let simd = classify_with(&model, &seqs, MatchKernel::Simd);
-        assert_eq!(simd.model_version, trie.model_version);
-        for (a, b) in simd.db_match.iter().zip(&trie.db_match) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-        }
-        for (sa, sb) in simd.per_sequence.iter().zip(&trie.per_sequence) {
-            for (a, b) in sa.iter().zip(sb) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-            }
         }
     }
 

@@ -9,198 +9,170 @@
 //! tenant sanitized to `[a-z0-9_]` by [`sanitize_tenant`]. Every metric is
 //! documented in `docs/OBSERVABILITY.md`.
 
-use noisemine_obs::{self as obs, Counter, Gauge, Histogram};
-use std::sync::OnceLock;
+use noisemine_obs::{self as obs, metric, Counter, Gauge};
 
-macro_rules! counter {
-    ($fn_name:ident, $name:literal, $help:literal, $unit:literal) => {
-        pub(crate) fn $fn_name() -> &'static Counter {
-            static H: OnceLock<Counter> = OnceLock::new();
-            H.get_or_init(|| obs::counter($name, $help, $unit))
-        }
-    };
-}
-
-counter!(
-    requests,
+metric!(
+    counter requests,
     "serve_requests_total",
     "HTTP requests parsed and routed by the serving layer (all routes)",
     "requests"
 );
-counter!(
-    connections,
+metric!(
+    counter connections,
     "serve_connections_total",
     "TCP connections accepted by the serving layer",
     "connections"
 );
-counter!(
-    keepalive_reuses,
+metric!(
+    counter keepalive_reuses,
     "serve_keepalive_reuses_total",
     "Requests served on an already-used keep-alive connection (second and later per connection)",
     "requests"
 );
-counter!(
-    pipelined_requests,
+metric!(
+    counter pipelined_requests,
     "serve_pipelined_requests_total",
     "Requests parsed from bytes already buffered behind an earlier request on the same connection",
     "requests"
 );
-counter!(
-    idle_evictions,
+metric!(
+    counter idle_evictions,
     "serve_idle_evictions_total",
     "Keep-alive connections closed by the idle timeout",
     "connections"
 );
-counter!(
-    poll_wakeups,
+metric!(
+    counter poll_wakeups,
     "serve_poll_wakeups_total",
     "Readiness event-loop iterations (poll(2) returns)",
     "wakeups"
 );
-counter!(
-    drain_rejects,
+metric!(
+    counter drain_rejects,
     "serve_drain_rejects_total",
     "Requests answered 503 because they arrived during graceful drain",
     "requests"
 );
-counter!(
-    classifications,
+metric!(
+    counter classifications,
     "serve_classifications_total",
     "Classification requests that produced a scored response",
     "requests"
 );
-counter!(
-    sequences_classified,
+metric!(
+    counter sequences_classified,
     "serve_sequences_classified_total",
     "Event sequences scored across all classification requests",
     "sequences"
 );
-counter!(
-    throttled,
+metric!(
+    counter throttled,
     "serve_throttled_total",
     "Requests rejected with 429 by token-bucket admission control",
     "requests"
 );
-counter!(
-    client_errors,
+metric!(
+    counter client_errors,
     "serve_client_errors_total",
     "Requests rejected with a 4xx other than 429 (bad JSON, unknown route/tenant)",
     "requests"
 );
-counter!(
-    swaps,
+metric!(
+    counter swaps,
     "serve_model_swaps_total",
     "Successful hot-swaps of a tenant's active model",
     "swaps"
 );
-counter!(
-    catalog_scans,
+metric!(
+    counter catalog_scans,
     "serve_catalog_scans_total",
     "Catalog directory scans performed by the supervisor (startup sync plus every watch interval)",
     "scans"
 );
-counter!(
-    catalog_adoptions,
+metric!(
+    counter catalog_adoptions,
     "serve_catalog_adoptions_total",
     "Models adopted from the catalog into the live registry (newest valid version per tenant)",
     "models"
 );
-counter!(
-    catalog_rejects,
+metric!(
+    counter catalog_rejects,
     "serve_catalog_rejects_total",
     "Catalog artifacts rejected by validation (torn, truncated, corrupt, or mislabeled files)",
     "files"
 );
-counter!(
-    drift_samples,
+metric!(
+    counter drift_samples,
     "serve_drift_samples_total",
     "Classified sequences forwarded into the drift loop",
     "sequences"
 );
-counter!(
-    drift_samples_dropped,
+metric!(
+    counter drift_samples_dropped,
     "serve_drift_samples_dropped_total",
     "Classified sequences dropped by the drift loop (full channel, full buffer, or unknown tenant)",
     "sequences"
 );
-counter!(
-    remine_attempts,
+metric!(
+    counter remine_attempts,
     "serve_remine_attempts_total",
     "Supervised in-server re-mine attempts started by the drift loop",
     "attempts"
 );
-counter!(
-    remines_completed,
+metric!(
+    counter remines_completed,
     "serve_remines_completed_total",
     "Supervised re-mines that completed, validated, and self-swapped a new model",
     "remines"
 );
-counter!(
-    remine_failures,
+metric!(
+    counter remine_failures,
     "serve_remine_failures_total",
     "Supervised re-mine attempts that failed (panic, timeout, mine error, or invalid artifact)",
     "attempts"
 );
-counter!(
-    remine_panics,
+metric!(
+    counter remine_panics,
     "serve_remine_panics_total",
     "Supervised re-mine attempts that panicked (isolated; the server keeps serving)",
     "attempts"
 );
-counter!(
-    remine_timeouts,
+metric!(
+    counter remine_timeouts,
     "serve_remine_timeouts_total",
     "Supervised re-mine attempts abandoned at the re-mine deadline",
     "attempts"
 );
-counter!(
-    breaker_opens,
+metric!(
+    counter breaker_opens,
     "serve_breaker_opens_total",
     "Circuit-breaker open transitions (failure budget exhausted or half-open trial failed)",
     "transitions"
 );
-counter!(
-    self_swaps,
+metric!(
+    counter self_swaps,
     "serve_self_swaps_total",
     "Model swaps initiated by the drift loop itself (no operator involved)",
     "swaps"
 );
-
-/// Connections currently open (accepted and not yet closed).
-pub(crate) fn open_connections() -> &'static Gauge {
-    static H: OnceLock<Gauge> = OnceLock::new();
-    H.get_or_init(|| {
-        obs::gauge(
-            "serve_open_connections",
-            "Connections currently open (accepted and not yet closed)",
-            "connections",
-        )
-    })
-}
-
-/// Connections parked in the readiness loop awaiting their next request.
-pub(crate) fn idle_connections() -> &'static Gauge {
-    static H: OnceLock<Gauge> = OnceLock::new();
-    H.get_or_init(|| {
-        obs::gauge(
-            "serve_idle_connections",
-            "Keep-alive connections parked in the readiness loop awaiting their next request",
-            "connections",
-        )
-    })
-}
-
-/// Sequences currently buffered across all tenants for the next re-mine.
-pub(crate) fn drift_buffered() -> &'static Gauge {
-    static H: OnceLock<Gauge> = OnceLock::new();
-    H.get_or_init(|| {
-        obs::gauge(
-            "serve_drift_buffered_sequences",
-            "Sequences currently buffered across all tenants for the next re-mine",
-            "sequences",
-        )
-    })
-}
+metric!(
+    gauge open_connections,
+    "serve_open_connections",
+    "Connections currently open (accepted and not yet closed)",
+    "connections"
+);
+metric!(
+    gauge idle_connections,
+    "serve_idle_connections",
+    "Keep-alive connections parked in the readiness loop awaiting their next request",
+    "connections"
+);
+metric!(
+    gauge drift_buffered,
+    "serve_drift_buffered_sequences",
+    "Sequences currently buffered across all tenants for the next re-mine",
+    "sequences"
+);
 
 /// Per-tenant circuit-breaker state gauge
 /// (`0` = closed, `1` = half-open, `2` = open).
@@ -214,31 +186,16 @@ pub(crate) fn set_breaker(tenant: &str, value: f64) {
     .set(value);
 }
 
-/// Supervised re-mine latency (prepare to adopted model).
-pub(crate) fn remine_seconds() -> &'static Histogram {
-    static H: OnceLock<Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        obs::histogram(
-            "serve_remine_seconds",
-            "Wall-clock time of a successful supervised re-mine, prepare through adoption",
-            "seconds",
-            obs::duration_buckets(),
-        )
-    })
-}
-
-/// Classification latency (request parse to response write).
-pub(crate) fn classify_seconds() -> &'static Histogram {
-    static H: OnceLock<Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        obs::histogram(
-            "serve_classify_seconds",
-            "Wall-clock time to score one classification request against the active model",
-            "seconds",
-            obs::duration_buckets(),
-        )
-    })
-}
+metric!(
+    duration_histogram remine_seconds,
+    "serve_remine_seconds",
+    "Wall-clock time of a successful supervised re-mine, prepare through adoption"
+);
+metric!(
+    duration_histogram classify_seconds,
+    "serve_classify_seconds",
+    "Wall-clock time to score one classification request against the active model"
+);
 
 /// Maps a tenant name onto the metric-name-safe alphabet `[a-z0-9_]`
 /// (uppercase folded, everything else becomes `_`).

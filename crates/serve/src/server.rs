@@ -60,9 +60,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use noisemine_core::{MatchKernel, Symbol};
+use noisemine_core::Symbol;
 
-use crate::classify::classify_with;
+use crate::classify::classify;
 use crate::http::{
     read_request_buffered, try_parse_request, write_response, ConnBuf, Request, Response,
 };
@@ -92,11 +92,6 @@ pub struct ServeConfig {
     /// submit a final request (answered `503` + `Connection: close`)
     /// before the event loop exits.
     pub drain_grace: Duration,
-    /// Match kernel for `/classify` scoring (`noisemine serve --kernel`).
-    /// Purely operational — all kernels produce identical scores (the
-    /// columnar simd kernel is held to the trie by a zero-ULP contract),
-    /// so responses never depend on the choice.
-    pub kernel: MatchKernel,
 }
 
 impl Default for ServeConfig {
@@ -107,7 +102,6 @@ impl Default for ServeConfig {
             max_requests_per_conn: 0,
             idle_timeout: Duration::from_secs(10),
             drain_grace: Duration::from_millis(500),
-            kernel: MatchKernel::Trie,
         }
     }
 }
@@ -144,8 +138,6 @@ pub(crate) struct Ctx {
     /// Classified batches are forwarded here (best-effort) when the
     /// in-server drift loop is enabled.
     drift: Option<Arc<DriftController>>,
-    /// Match kernel for `/classify` scoring (see [`ServeConfig::kernel`]).
-    kernel: MatchKernel,
 }
 
 impl Ctx {
@@ -232,7 +224,6 @@ impl Server {
             start: Instant::now(),
             wake: Some(Arc::clone(&wake)),
             drift,
-            kernel: config.kernel,
         });
         let (dispatch_tx, dispatch_rx) = mpsc::channel::<Job>();
         let (return_tx, return_rx) = mpsc::channel::<Conn>();
@@ -820,7 +811,7 @@ fn classify_route(ctx: &Ctx, request: &Request) -> Response {
         }
     }
     let span = crate::obs::classify_seconds().span();
-    let result = classify_with(&model, &sequences, ctx.kernel);
+    let result = classify(&model, &sequences);
     span.finish();
     crate::obs::classifications().inc();
     crate::obs::sequences_classified().add(sequences.len() as u64);
@@ -891,7 +882,6 @@ mod tests {
             start: Instant::now(),
             wake: None,
             drift: None,
-            kernel: MatchKernel::Trie,
         })
     }
 

@@ -8,67 +8,40 @@
 //! contents, drift decisions, or mining output. Every metric is documented
 //! in `docs/OBSERVABILITY.md`.
 
-use noisemine_obs::{self as obs, Counter, Gauge, Histogram};
-use std::sync::OnceLock;
+use noisemine_obs::metric;
 
-macro_rules! counter {
-    ($fn_name:ident, $name:literal, $help:literal, $unit:literal) => {
-        pub(crate) fn $fn_name() -> &'static Counter {
-            static H: OnceLock<Counter> = OnceLock::new();
-            H.get_or_init(|| obs::counter($name, $help, $unit))
-        }
-    };
-}
-
-macro_rules! gauge {
-    ($fn_name:ident, $name:literal, $help:literal, $unit:literal) => {
-        pub(crate) fn $fn_name() -> &'static Gauge {
-            static H: OnceLock<Gauge> = OnceLock::new();
-            H.get_or_init(|| obs::gauge($name, $help, $unit))
-        }
-    };
-}
-
-counter!(
-    sequences_ingested,
+metric!(
+    counter sequences_ingested,
     "stream_sequences_ingested_total",
     "Sequences ingested into the incremental engine (online Algorithm 4.1 updates)",
     "sequences"
 );
-counter!(
-    remines,
+metric!(
+    counter remines,
     "stream_remines_total",
     "Re-mines executed (phase 2 on the reservoir + phase 3 against the prefix)",
     "runs"
 );
-counter!(
-    drift_fires,
+metric!(
+    counter drift_fires,
     "stream_drift_fires_total",
     "Drift checks that found a symbol match beyond the Chernoff deviation since the last mine",
     "fires"
 );
-counter!(
-    border_reuse_hits,
+metric!(
+    counter border_reuse_hits,
     "stream_border_reuse_hits_total",
     "Tracked border patterns whose online exact matches were reused by a re-mine (zero-scan collapses)",
     "patterns"
 );
-gauge!(
-    tracked_patterns,
+metric!(
+    gauge tracked_patterns,
     "stream_tracked_patterns",
     "Border patterns whose exact matches are currently maintained online",
     "patterns"
 );
-
-/// Checkpoint write latency (serialize + atomic replace).
-pub(crate) fn checkpoint_write_seconds() -> &'static Histogram {
-    static H: OnceLock<Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        obs::histogram(
-            "stream_checkpoint_write_seconds",
-            "Wall-clock time to serialize and atomically persist one engine checkpoint",
-            "seconds",
-            obs::duration_buckets(),
-        )
-    })
-}
+metric!(
+    duration_histogram checkpoint_write_seconds,
+    "stream_checkpoint_write_seconds",
+    "Wall-clock time to serialize and atomically persist one engine checkpoint"
+);

@@ -31,7 +31,7 @@ use noisemine_core::chernoff::epsilon;
 use noisemine_core::matching::{sequence_match, SequenceScan, SymbolMatchScratch};
 use noisemine_core::miner::{mine_from_phase1, MineOutcome, MinerConfig, Phase1Output};
 use noisemine_core::parallel::SCAN_BLOCK_SIZE;
-use noisemine_core::{Alphabet, CompatibilityMatrix, MatchKernel, Pattern, PatternModel, Symbol};
+use noisemine_core::{Alphabet, CompatibilityMatrix, Pattern, PatternModel, Symbol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -78,6 +78,11 @@ pub struct MinePrep {
 /// sums); the full ingested prefix itself lives with the caller (typically
 /// an appendable [`DiskDb`] log), and is passed in only when
 /// [`StreamState::mine`] needs phase-3 scans.
+///
+/// Re-mines score candidate batches with `config.match_kernel`. The
+/// `noisemine stream` command leaves it at the trie default; the other
+/// kernels are reachable from library and benchmark code only. The field
+/// is not checkpointed, so a restored engine always uses the trie.
 ///
 /// [`DiskDb`]: noisemine_seqdb::DiskDb
 #[derive(Debug)]
@@ -212,13 +217,11 @@ impl StreamState {
         &self.config
     }
 
-    /// Sets the operational fields of the configuration: the worker count
-    /// (`0` = all cores) and the match kernel. Neither is checkpointed and
-    /// neither changes a result, so a restored engine takes them from its
-    /// caller.
-    pub fn set_operational(&mut self, threads: usize, match_kernel: MatchKernel) {
+    /// Sets the worker count of the configuration (`0` = all cores). It is
+    /// not checkpointed and never changes a result, so a restored engine
+    /// takes it from its caller.
+    pub fn set_threads(&mut self, threads: usize) {
         self.config.threads = threads;
-        self.config.match_kernel = match_kernel;
     }
 
     /// The engine's compatibility matrix.
