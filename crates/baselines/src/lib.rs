@@ -11,8 +11,6 @@
 //!   sampling baseline);
 //! - [`depthfirst`] — projection-based depth-first mining for
 //!   memory-resident data (the §2.2 alternative the paper sets aside);
-//! - [`topk`] — best-first top-k mining, an extension that removes the
-//!   need to guess `min_match`;
 //! - [`hierarchical`] — coarse-to-fine mining over symbol groups, the
 //!   paper's stated future work for huge alphabets (Section 6).
 
@@ -21,11 +19,9 @@ pub mod hierarchical;
 pub mod levelwise;
 pub mod maxminer;
 pub mod toivonen;
-pub mod topk;
 
 pub use depthfirst::{mine_depth_first, DepthFirstResult};
 pub use hierarchical::{mine_hierarchical, HierarchicalResult, SymbolGrouping};
 pub use levelwise::{evaluate_patterns, mine_levelwise, LevelwiseResult};
 pub use maxminer::{mine_maxminer, MaxMinerConfig, MaxMinerResult};
 pub use toivonen::{mine_toivonen, toivonen_config, ToivonenResult};
-pub use topk::{mine_top_k, TopKResult};

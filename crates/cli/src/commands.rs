@@ -2,12 +2,10 @@
 
 use std::path::Path;
 
-use noisemine_baselines::{
-    mine_depth_first, mine_levelwise, mine_maxminer, mine_top_k, MaxMinerConfig,
-};
-use noisemine_core::border_collapse::ProbeStrategy;
-use noisemine_core::matching::{db_match, db_support, MatchMetric, MemorySequences, SequenceScan};
-use noisemine_core::miner::{mine, MinerConfig};
+use std::io::Write;
+
+use noisemine_core::matching::{db_match, db_support, MemorySequences, SequenceScan};
+use noisemine_core::miner::{mine, MineOutcome, MinerConfig};
 use noisemine_core::{
     matrix_io, Alphabet, CompatibilityMatrix, Pattern, PatternModel, PatternSpace, Symbol,
 };
@@ -166,7 +164,7 @@ pub fn cmd_learn(opts: &Opts) -> CliResult<()> {
     .map_err(|e| e.to_string())?;
     std::fs::write(out, rendered).map_err(|e| e.to_string())?;
     println!(
-        "learned a {m}x{m} compatibility matrix from {} paired sequences (lambda = {lambda});          wrote {out}",
+        "learned a {m}x{m} compatibility matrix from {} paired sequences (lambda = {lambda}); wrote {out}",
         truth.len(),
         m = alphabet.len(),
     );
@@ -185,48 +183,57 @@ pub fn cmd_stats(opts: &Opts) -> CliResult<()> {
         db.0.iter()
             .map(Vec::len)
             .fold((usize::MAX, 0), |(lo, hi), l| (lo.min(l), hi.max(l)));
-    println!("sequences:        {n}");
-    println!("symbols total:    {total}");
-    println!("alphabet size:    {}", alphabet.len());
-    if n > 0 {
-        println!(
-            "length min/avg/max: {min_l} / {:.1} / {max_l}",
-            total as f64 / n as f64
-        );
-    }
 
-    // Symbol frequencies.
+    // Symbol frequencies, most frequent first; the top 20 are listed.
     let mut counts = vec![0usize; alphabet.len()];
     for seq in &db.0 {
         for s in seq {
             counts[s.index()] += 1;
         }
     }
-    println!("\n{:<10} {:>10} {:>10}", "symbol", "count", "freq");
     let mut order: Vec<usize> = (0..alphabet.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(counts[i]));
-    for &i in order.iter().take(20) {
-        println!(
-            "{:<10} {:>10} {:>9.2}%",
-            alphabet.name(Symbol(i as u16)).map_err(|e| e.to_string())?,
-            counts[i],
-            100.0 * counts[i] as f64 / total.max(1) as f64,
-        );
-    }
-
-    if let Some(matrix_path) = opts.get("matrix") {
-        let (_, matrix) = load_matrix(matrix_path, &alphabet)?;
-        let matches = noisemine_core::matching::symbol_db_match(&db, &matrix);
-        println!("\n{:<10} {:>10}", "symbol", "match");
-        for &i in order.iter().take(20) {
-            println!(
-                "{:<10} {:>10.4}",
-                alphabet.name(Symbol(i as u16)).map_err(|e| e.to_string())?,
-                matches[i],
-            );
+    order.truncate(20);
+    let names = order
+        .iter()
+        .map(|&i| alphabet.name(Symbol(i as u16)).map_err(|e| e.to_string()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let matches = match opts.get("matrix") {
+        Some(matrix_path) => {
+            let (_, matrix) = load_matrix(matrix_path, &alphabet)?;
+            Some(noisemine_core::matching::symbol_db_match(&db, &matrix))
         }
-    }
-    Ok(())
+        None => None,
+    };
+
+    write_stdout(|out| {
+        writeln!(out, "sequences:        {n}")?;
+        writeln!(out, "symbols total:    {total}")?;
+        writeln!(out, "alphabet size:    {}", alphabet.len())?;
+        if n > 0 {
+            writeln!(
+                out,
+                "length min/avg/max: {min_l} / {:.1} / {max_l}",
+                total as f64 / n as f64
+            )?;
+        }
+        writeln!(out, "\n{:<10} {:>10} {:>10}", "symbol", "count", "freq")?;
+        for (&i, name) in order.iter().zip(&names) {
+            writeln!(
+                out,
+                "{name:<10} {:>10} {:>9.2}%",
+                counts[i],
+                100.0 * counts[i] as f64 / total.max(1) as f64,
+            )?;
+        }
+        if let Some(matches) = &matches {
+            writeln!(out, "\n{:<10} {:>10}", "symbol", "match")?;
+            for (&i, name) in order.iter().zip(&names) {
+                writeln!(out, "{name:<10} {:>10.4}", matches[i])?;
+            }
+        }
+        Ok(())
+    })
 }
 
 /// `noisemine match` — support and match of one pattern.
@@ -279,28 +286,17 @@ pub fn cmd_convert(opts: &Opts) -> CliResult<()> {
     Ok(())
 }
 
-/// The database `noisemine mine` runs on: a text file read whole, or a
-/// binary `.nmdb` file whose every scan streams from disk under the
-/// `--on-fault` policy (see docs/ROBUSTNESS.md).
-enum Store {
-    Text(MemorySequences),
-    Disk(DiskDb),
-}
-
-impl Store {
-    fn scan(&self) -> &dyn SequenceScan {
-        match self {
-            Store::Text(db) => db,
-            Store::Disk(db) => db,
-        }
-    }
-}
-
-/// Opens `--db` with the alphabet and matrix that go with it. Binary files
-/// store symbol ids only: names come from `--matrix`, and without one a
-/// sizing scan (itself under the fault policy) picks a synthetic alphabet
-/// large enough for every surviving symbol.
-fn open_store(opts: &Opts, path: &str) -> CliResult<(Store, Alphabet, CompatibilityMatrix)> {
+/// Opens `--db` for `noisemine mine` with the alphabet and matrix that go
+/// with it: a text file read whole, or a binary `.nmdb` file whose every
+/// scan streams from disk under the `--on-fault` policy (see
+/// docs/ROBUSTNESS.md). Binary files store symbol ids only: names come from
+/// `--matrix`, and without one a sizing scan (itself under the fault
+/// policy) picks a synthetic alphabet large enough for every surviving
+/// symbol.
+fn open_store(
+    opts: &Opts,
+    path: &str,
+) -> CliResult<(Box<dyn SequenceScan>, Alphabet, CompatibilityMatrix)> {
     if !path.ends_with(".nmdb") {
         if opts.get("on-fault").is_some() {
             return Err(
@@ -309,7 +305,7 @@ fn open_store(opts: &Opts, path: &str) -> CliResult<(Store, Alphabet, Compatibil
         }
         let (alphabet, sequences) = load_db(opts)?;
         let matrix = text_matrix(opts, &alphabet)?;
-        return Ok((Store::Text(MemorySequences(sequences)), alphabet, matrix));
+        return Ok((Box::new(MemorySequences(sequences)), alphabet, matrix));
     }
     let db = DiskDb::open_with_policy(path, parse_on_fault(opts)?)
         .map_err(|e| format!("{path}: {e}"))?;
@@ -319,17 +315,6 @@ fn open_store(opts: &Opts, path: &str) -> CliResult<(Store, Alphabet, Compatibil
             db.quarantined().len(),
             db.num_sequences(),
         );
-    }
-    let algorithm = opts.get_or("algorithm", "three-phase");
-    if algorithm != "three-phase" {
-        return Err(format!(
-            "binary databases mine with --algorithm three-phase (got {algorithm:?}); \
-             the baseline miners need a text database"
-        )
-        .into());
-    }
-    if opts.get("top").is_some() {
-        return Err("--top needs a text database".into());
     }
     let (alphabet, matrix) = match opts.get("matrix") {
         Some(matrix_path) => {
@@ -350,11 +335,11 @@ fn open_store(opts: &Opts, path: &str) -> CliResult<(Store, Alphabet, Compatibil
             (alphabet, CompatibilityMatrix::identity(m))
         }
     };
-    Ok((Store::Disk(db), alphabet, matrix))
+    Ok((Box::new(db), alphabet, matrix))
 }
 
-/// `noisemine mine` — run a miner over a text database, or the three-phase
-/// miner over a binary `.nmdb` database.
+/// `noisemine mine` — run the three-phase miner over a text or binary
+/// `.nmdb` database.
 pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
     opts.deny_unknown(&[
         "db",
@@ -363,15 +348,12 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
         "normalize",
         "max-gap",
         "max-len",
-        "algorithm",
         "sample",
         "delta",
         "counters",
-        "strategy",
         "seed",
         "threads",
         "limit",
-        "top",
         "format",
         "metrics-out",
         "on-fault",
@@ -382,108 +364,21 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
     let path = opts.required("db")?;
     let (store, alphabet, matrix) = open_store(opts, path)?;
     let matrix = maybe_normalize(matrix, opts)?;
-    let config = miner_config(opts, store.scan().num_sequences())?;
-    let (min_match, space) = (config.min_match, config.space);
-    let algorithm = opts.get_or("algorithm", "three-phase");
+    let config = miner_config(opts, store.num_sequences())?;
+    let min_match = config.min_match;
     let limit = opts.num("limit", 50usize)?;
     let format = parse_format(opts)?;
-    if opts.get("model-out").is_some() && (algorithm != "three-phase" || opts.get("top").is_some())
-    {
-        return Err(
-            "--model-out needs the three-phase miner (it serializes the miner's full \
-             outcome); drop --top and use --algorithm three-phase"
-                .into(),
-        );
-    }
 
-    // `--top k` switches to threshold-free best-first mining. Binary stores
-    // reach only the three-phase arm below: `open_store` rejects `--top`
-    // and the baseline algorithms for them.
-    if let (Some(k), Store::Text(db)) = (opts.get("top"), &store) {
-        let k: usize = k
-            .parse()
-            .map_err(|_| format!("--top got unparsable value {k:?}"))?;
-        let r = mine_top_k(&db.0, &matrix, k, &space);
-        eprintln!(
-            "top-{k} patterns ({} evaluated, implied threshold {:.4}):",
-            r.evaluated, r.implied_threshold
-        );
-        write_metrics(sink.as_ref())?;
-        return emit(&r.patterns, r.patterns.len(), &alphabet, format);
-    }
-
-    let frequent: Vec<(Pattern, f64)> = match (&store, algorithm) {
-        (_, "three-phase") => {
-            let outcome = mine(store.scan(), &matrix, &config).map_err(|e| match store {
-                Store::Text(_) => e.to_string(),
-                Store::Disk(_) => format!("{path}: {e}"),
-            })?;
-            eprintln!(
-                "three-phase miner: {} db scans, {} sample-confident, {} verified, {} implied",
-                outcome.stats.db_scans,
-                outcome.stats.sample_frequent,
-                outcome.stats.verified_patterns,
-                outcome.stats.propagated_patterns,
-            );
-            maybe_write_model(opts, &outcome, &alphabet, &matrix, min_match)?;
-            outcome
-                .frequent
-                .into_iter()
-                .map(|f| (f.pattern, f.match_estimate))
-                .collect()
-        }
-        (Store::Text(db), "levelwise") => {
-            let r = mine_levelwise(
-                db,
-                &MatchMetric { matrix: &matrix },
-                alphabet.len(),
-                min_match,
-                &space,
-                usize::MAX,
-            );
-            eprintln!(
-                "level-wise miner: {} scans, {} levels",
-                r.scans,
-                r.trace.levels()
-            );
-            r.frequent
-        }
-        (Store::Text(db), "depth-first") => {
-            let r = mine_depth_first(&db.0, &matrix, min_match, &space);
-            eprintln!(
-                "depth-first miner: {} patterns evaluated, depth {}",
-                r.patterns_evaluated, r.max_depth
-            );
-            r.frequent
-        }
-        (Store::Text(db), "max-miner") => {
-            let r = mine_maxminer(
-                db,
-                &MatchMetric { matrix: &matrix },
-                alphabet.len(),
-                min_match,
-                &space,
-                &MaxMinerConfig::default(),
-            );
-            eprintln!(
-                "max-miner: {} scans, {} look-ahead hits",
-                r.scans, r.lookahead_hits
-            );
-            r.frequent
-                .into_iter()
-                .map(|(p, v)| (p, v.unwrap_or(min_match)))
-                .collect()
-        }
-        (_, other) => {
-            return Err(format!(
-                "unknown algorithm {other:?}; use three-phase, levelwise, depth-first, or max-miner"
-            )
-            .into())
-        }
-    };
-
-    let mut sorted = frequent;
-    sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let outcome = mine(&*store, &matrix, &config).map_err(|e| format!("{path}: {e}"))?;
+    eprintln!(
+        "three-phase miner: {} db scans, {} sample-confident, {} verified, {} implied",
+        outcome.stats.db_scans,
+        outcome.stats.sample_frequent,
+        outcome.stats.verified_patterns,
+        outcome.stats.propagated_patterns,
+    );
+    maybe_write_model(opts, &outcome, &alphabet, &matrix, min_match)?;
+    let sorted = ranked(outcome);
     eprintln!(
         "{} frequent patterns (match >= {min_match}); top {}:",
         sorted.len(),
@@ -491,6 +386,18 @@ pub fn cmd_mine(opts: &Opts) -> CliResult<()> {
     );
     write_metrics(sink.as_ref())?;
     emit(&sorted, limit, &alphabet, format)
+}
+
+/// The outcome's frequent patterns with their match estimates, by match
+/// descending, then pattern.
+fn ranked(outcome: MineOutcome) -> Vec<(Pattern, f64)> {
+    let mut sorted: Vec<(Pattern, f64)> = outcome
+        .frequent
+        .into_iter()
+        .map(|f| (f.pattern, f.match_estimate))
+        .collect();
+    sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    sorted
 }
 
 /// The three-phase miner's configuration from the flags `mine` and
@@ -503,11 +410,6 @@ fn miner_config(opts: &Opts, default_sample: usize) -> CliResult<MinerConfig> {
         counters_per_scan: opts.num("counters", 100_000usize)?,
         space: PatternSpace::new(opts.num("max-gap", 0usize)?, opts.num("max-len", 16usize)?)
             .map_err(|e| e.to_string())?,
-        probe_strategy: match opts.get_or("strategy", "border") {
-            "border" => ProbeStrategy::BorderCollapsing,
-            "levelwise" => ProbeStrategy::LevelWise,
-            other => return Err(format!("unknown strategy {other:?}").into()),
-        },
         seed: opts.num("seed", 2002u64)?,
         threads: opts.num("threads", 0usize)?,
         ..MinerConfig::default()
@@ -518,7 +420,7 @@ fn miner_config(opts: &Opts, default_sample: usize) -> CliResult<MinerConfig> {
 /// when `--model-out` is given (see docs/SERVING.md).
 fn maybe_write_model(
     opts: &Opts,
-    outcome: &noisemine_core::miner::MineOutcome,
+    outcome: &MineOutcome,
     alphabet: &Alphabet,
     matrix: &CompatibilityMatrix,
     min_match: f64,
@@ -723,7 +625,6 @@ pub fn cmd_stream(opts: &Opts) -> CliResult<()> {
         "counters",
         "max-gap",
         "max-len",
-        "strategy",
         "seed",
         "threads",
         "limit",
@@ -805,12 +706,7 @@ pub fn cmd_stream(opts: &Opts) -> CliResult<()> {
 
     match last_outcome {
         Some(outcome) => {
-            let mut sorted: Vec<(Pattern, f64)> = outcome
-                .frequent
-                .into_iter()
-                .map(|f| (f.pattern, f.match_estimate))
-                .collect();
-            sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            let sorted = ranked(outcome);
             eprintln!(
                 "{} frequent patterns after {remines} re-mine(s); top {}:",
                 sorted.len(),
@@ -838,17 +734,12 @@ fn emit(
     alphabet: &Alphabet,
     format: &str,
 ) -> CliResult<()> {
-    use std::io::Write;
     let rows: Vec<(String, f64)> = patterns
         .iter()
         .take(limit)
         .map(|(p, v)| Ok((p.display(alphabet).map_err(|e| e.to_string())?, *v)))
         .collect::<CliResult<_>>()?;
-    // Buffered and broken-pipe tolerant: `noisemine mine ... | head` must
-    // exit cleanly when the reader closes early.
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let result: std::io::Result<()> = (|| {
+    write_stdout(|out| {
         match format {
             "table" => {
                 writeln!(out, "{:<30} {:>10}", "pattern", "match")?;
@@ -879,13 +770,19 @@ fn emit(
                 }
                 writeln!(out, "]")?;
             }
-            _ => unreachable!("format validated in cmd_mine"),
+            _ => unreachable!("format validated by parse_format"),
         }
-        out.flush()
-    })();
-    match result {
+        Ok(())
+    })
+}
+
+/// Writes to stdout through one buffer. A reader that goes away early
+/// (`noisemine ... | head`) is not an error for a CLI, so a broken pipe
+/// counts as success.
+pub fn write_stdout(write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> CliResult<()> {
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    match write(&mut out).and_then(|()| out.flush()) {
         Ok(()) => Ok(()),
-        // Reader went away (e.g. `| head`); not an error for a CLI.
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
         Err(e) => Err(format!("i/o error: {e}").into()),
     }

@@ -6,8 +6,7 @@
 //! noisemine stats   --db db.txt [--matrix m.txt]
 //! noisemine match   --db db.txt --pattern "A*TKY" [--matrix m.txt] [--normalize]
 //! noisemine mine    --db db.txt|db.nmdb [--matrix m.txt] [--normalize] [--min-match 0.1]
-//!                   [--algorithm three-phase|levelwise|depth-first|max-miner] [--top k]
-//!                   [--max-gap 0] [--max-len 16] [--sample N] [--strategy border|levelwise]
+//!                   [--max-gap 0] [--max-len 16] [--sample N]
 //!                   [--threads 0] [--metrics-out m.json]
 //!                   [--on-fault strict|retry[:N]|quarantine]   (.nmdb inputs)
 //! noisemine stream  --db db.txt [--matrix m.txt] [--checkpoint state.ckpt]
@@ -24,9 +23,13 @@
 //!                   [--idle-timeout 10] [--metrics-out m.json]
 //! ```
 //!
-//! Every command scores candidate batches with the batched candidate-trie
-//! kernel. The naive and columnar kernels of `noisemine_core::MatchKernel`
-//! are library and benchmark paths only.
+//! `mine` and `stream` run the paper's three-phase miner with border
+//! collapsing. The comparison miners of `noisemine_baselines` (level-wise,
+//! Max-Miner, depth-first, Toivonen) and the level-wise phase-3 ablation
+//! are library, figure and test oracles only. Every command scores
+//! candidate batches with the batched candidate-trie kernel. The naive and
+//! columnar kernels of `noisemine_core::MatchKernel` are library and
+//! benchmark paths only.
 
 mod commands;
 mod opts;
@@ -44,19 +47,16 @@ USAGE:
   noisemine stats   --db db.txt [--matrix m.txt]
   noisemine match   --db db.txt --pattern \"A*TKY\" [--matrix m.txt] [--normalize]
   noisemine mine    --db db.txt|db.nmdb [--matrix m.txt] [--normalize] [--min-match 0.1]
-                    [--algorithm three-phase|levelwise|depth-first|max-miner]
                     [--max-gap 0] [--max-len 16] [--sample N] [--delta 0.001]
-                    [--counters 100000] [--strategy border|levelwise]
-                    [--seed 2002] [--threads 0] [--limit 50] [--top k]
-                    [--metrics-out m.json]
+                    [--counters 100000] [--seed 2002] [--threads 0] [--limit 50]
+                    [--format table|csv|json] [--metrics-out m.json]
                     [--on-fault strict|retry[:N]|quarantine]
                     [--model-out model.nmmodel] [--model-version 1]
   noisemine stream  --db db.txt|- [--matrix m.txt] [--normalize]
                     [--checkpoint state.ckpt] [--chunk 1000] [--min-match 0.1]
                     [--sample 1000] [--delta 0.001] [--counters 100000]
-                    [--max-gap 0] [--max-len 16] [--strategy border|levelwise]
-                    [--seed 2002] [--threads 0] [--limit 50]
-                    [--metrics-out m.json]
+                    [--max-gap 0] [--max-len 16] [--seed 2002] [--threads 0]
+                    [--limit 50] [--format table|csv|json] [--metrics-out m.json]
   noisemine learn   --truth clean.txt --observed noisy.txt --out m.txt [--lambda 0.1]
   noisemine convert --db db.txt --out db.nmdb [--matrix m.txt]
   noisemine serve   [--model [tenant=]model.nmmodel[,t2=m2.nmmodel]]
@@ -83,10 +83,11 @@ bit-identical at any thread count. --metrics-out enables the observability
 layer and writes a metrics snapshot to the given path (JSON, or Prometheus
 text when the path ends in .prom/.txt); `stream` rewrites it after every
 chunk. Metrics never change mining output — see docs/OBSERVABILITY.md.
-`mine` also accepts a binary .nmdb database (three-phase only): scans then
-stream from disk under the --on-fault policy — strict fails on the first
-damaged byte, retry[:N] rides out transient I/O faults, quarantine skips
-corrupt records and mines the surviving subset — see docs/ROBUSTNESS.md.
+`mine` and `stream` run the paper's three-phase miner. `mine` also
+accepts a binary .nmdb database: scans then stream from disk under the
+--on-fault policy — strict fails on the first damaged byte, retry[:N]
+rides out transient I/O faults, quarantine skips corrupt records and
+mines the surviving subset — see docs/ROBUSTNESS.md.
 `mine --model-out` also writes the three-phase outcome as a versioned,
 checksummed NMMODEL serving artifact; `serve` loads such artifacts into
 per-tenant slots and answers classification requests over HTTP until POST
@@ -111,10 +112,7 @@ fn run() -> CliResult<()> {
         "convert" => commands::cmd_convert(&opts),
         "serve" => commands::cmd_serve(&opts),
         "learn" => commands::cmd_learn(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => commands::write_stdout(|out| writeln!(out, "{USAGE}")),
         other => Err(CliError::usage(format!("unknown subcommand {other:?}"))),
     }
 }

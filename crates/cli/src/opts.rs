@@ -61,8 +61,9 @@ impl From<&str> for CliError {
 pub type CliResult<T> = Result<T, CliError>;
 
 impl Opts {
-    /// Parses a token stream: first token is the subcommand, the rest are
-    /// `--key value`, `--key=value`, or bare `--flag`.
+    /// Parses a token stream: first token is the subcommand (`--help`
+    /// counts as one), the rest are `--key value`, `--key=value`, or bare
+    /// `--flag`.
     pub fn parse<I, S>(tokens: I) -> CliResult<Self>
     where
         I: IntoIterator<Item = S>,
@@ -71,7 +72,7 @@ impl Opts {
         let tokens: Vec<String> = tokens.into_iter().map(Into::into).collect();
         let command = tokens
             .first()
-            .filter(|t| !t.starts_with("--"))
+            .filter(|t| *t == "--help" || !t.starts_with("--"))
             .cloned()
             .ok_or_else(|| CliError::usage("missing subcommand"))?;
         let mut values = HashMap::new();

@@ -83,41 +83,7 @@ fn gen_stats_match_mine_round_trip() {
     assert!(text.contains("support:"), "{text}");
     assert!(text.contains("match:"), "{text}");
 
-    // mine finds the motif with every algorithm.
-    for algorithm in ["three-phase", "levelwise", "depth-first", "max-miner"] {
-        let out = noisemine(&[
-            "mine",
-            "--db",
-            db.to_str().unwrap(),
-            "--matrix",
-            matrix.to_str().unwrap(),
-            "--normalize",
-            "--min-match",
-            "0.15",
-            "--max-len",
-            "6",
-            "--algorithm",
-            algorithm,
-            "--limit",
-            "2000",
-        ]);
-        assert!(out.status.success(), "{algorithm}: {}", stderr(&out));
-        let text = stdout(&out);
-        assert!(
-            text.contains("AMTKY"),
-            "{algorithm} did not recover the motif:\n{text}"
-        );
-    }
-
-    std::fs::remove_file(&db).ok();
-    std::fs::remove_file(&matrix).ok();
-}
-
-#[test]
-fn top_k_mode() {
-    let db = tmp("topk-db.txt");
-    let matrix = tmp("topk-m.txt");
-    generate(&db, &matrix);
+    // mine recovers the motif.
     let out = noisemine(&[
         "mine",
         "--db",
@@ -125,16 +91,20 @@ fn top_k_mode() {
         "--matrix",
         matrix.to_str().unwrap(),
         "--normalize",
-        "--top",
-        "5",
+        "--min-match",
+        "0.15",
         "--max-len",
         "6",
+        "--limit",
+        "2000",
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
-    let status = stderr(&out);
-    assert!(status.contains("top-5 patterns"), "{status}");
-    assert!(status.contains("implied threshold"), "{status}");
-    assert!(stdout(&out).contains("pattern"), "{}", stdout(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains("AMTKY"),
+        "mine did not recover the motif:\n{text}"
+    );
+
     std::fs::remove_file(&db).ok();
     std::fs::remove_file(&matrix).ok();
 }
@@ -175,6 +145,10 @@ fn retired_index_and_kernel_options_are_rejected() {
         (&mine[..], "kernel", "simd"),
         (&stream[..], "kernel", "naive"),
         (&serve[..], "kernel", "trie"),
+        (&mine[..], "algorithm", "levelwise"),
+        (&mine[..], "top", "10"),
+        (&mine[..], "strategy", "levelwise"),
+        (&stream[..], "strategy", "border"),
     ] {
         let flag = format!("--{option}");
         let mut args = command.to_vec();
@@ -250,7 +224,9 @@ fn output_formats() {
         "--matrix",
         matrix.to_str().unwrap(),
         "--normalize",
-        "--top",
+        "--min-match",
+        "0.15",
+        "--limit",
         "3",
         "--max-len",
         "4",
@@ -261,8 +237,9 @@ fn output_formats() {
     let text = stdout(&out);
     assert!(text.trim_start().starts_with('['), "{text}");
     assert!(text.contains("\"pattern\""), "{text}");
-    assert!(!text.contains("top-3"), "status leaked into stdout: {text}");
-    assert!(stderr(&out).contains("top-3"), "{}", stderr(&out));
+    assert_eq!(text.matches("\"pattern\"").count(), 3, "{text}");
+    assert!(!text.contains("top 3"), "status leaked into stdout: {text}");
+    assert!(stderr(&out).contains("top 3:"), "{}", stderr(&out));
 
     // CSV has a clean header as the first stdout line.
     let out = noisemine(&[
@@ -678,9 +655,47 @@ fn corrupt_binary_database_fails_strict_and_survives_quarantine() {
 
 #[test]
 fn help_prints_usage() {
-    let out = noisemine(&["help"]);
-    assert!(out.status.success());
-    assert!(stdout(&out).contains("USAGE"));
+    for help in ["help", "--help", "-h"] {
+        let out = noisemine(&[help]);
+        assert!(out.status.success(), "{help}: {}", stderr(&out));
+        assert!(stdout(&out).contains("USAGE"), "{help}");
+    }
+    // An option before the subcommand is still a usage error.
+    let out = noisemine(&["--db", "x"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("missing subcommand"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+#[test]
+fn closed_stdout_is_not_an_error() {
+    let db = tmp("pipe-db.txt");
+    let matrix = tmp("pipe-m.txt");
+    generate(&db, &matrix);
+    let stats = [
+        "stats",
+        "--db",
+        db.to_str().unwrap(),
+        "--matrix",
+        matrix.to_str().unwrap(),
+    ];
+    for args in [&["help"][..], &stats[..]] {
+        // The reader goes away before the command writes, as with `| head`.
+        let mut child = Command::new(env!("CARGO_BIN_EXE_noisemine"))
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+    }
+    std::fs::remove_file(&db).ok();
+    std::fs::remove_file(&matrix).ok();
 }
 
 #[test]
@@ -718,8 +733,8 @@ fn synthetic_alphabet_and_uniform_noise() {
         "0.2",
         "--max-len",
         "4",
-        "--algorithm",
-        "levelwise",
+        "--limit",
+        "1000",
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("d0 d1 d2"), "{}", stdout(&out));
@@ -773,19 +788,6 @@ fn mine_model_out_then_serve_smoke() {
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stderr(&out).contains("wrote model v7"), "{}", stderr(&out));
-
-    // --model-out is three-phase-only.
-    let out = noisemine(&[
-        "mine",
-        "--db",
-        db.to_str().unwrap(),
-        "--algorithm",
-        "levelwise",
-        "--model-out",
-        model.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("three-phase"), "{}", stderr(&out));
 
     // Serve the artifact on an ephemeral port and talk to it for real.
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_noisemine"))

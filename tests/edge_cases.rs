@@ -1,7 +1,7 @@
 //! Edge-case tests across the public API: boundary conditions, degenerate
 //! inputs, and behaviors not exercised by the worked-example suites.
 
-use noisemine::baselines::{mine_top_k, MaxMinerConfig};
+use noisemine::baselines::MaxMinerConfig;
 use noisemine::core::border_collapse::levels_in_collapse_order;
 use noisemine::core::chernoff::{mislabel_tail, SpreadMode};
 use noisemine::core::lattice::halfway;
@@ -188,17 +188,6 @@ fn generator_fixed_length_and_degenerate_weights() {
         assert_eq!(s.len(), 7);
         assert!(s.iter().all(|&x| x == Symbol(0)));
     }
-}
-
-#[test]
-fn top_k_with_k_larger_than_space() {
-    let alphabet = Alphabet::synthetic(3);
-    let seqs = vec![alphabet.encode("d0 d1").unwrap()];
-    let matrix = CompatibilityMatrix::identity(3);
-    let r = mine_top_k(&seqs, &matrix, 100, &PatternSpace::contiguous(2));
-    // Only patterns with positive match exist: d0, d1, d0 d1.
-    assert_eq!(r.patterns.len(), 3);
-    assert_eq!(r.implied_threshold, 0.0);
 }
 
 #[test]
