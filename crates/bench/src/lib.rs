@@ -4,9 +4,8 @@
 //! paper's evaluation (Section 5). Each `src/bin/` binary reproduces one
 //! figure and prints the same rows/series the paper reports; `run_all`
 //! executes the full suite. `ablations` times the DESIGN.md ✦ decisions
-//! against their naive alternatives, and `match_kernel`, `scan_parallel`
-//! and `serve_load` are the layer benches behind the committed
-//! `BENCH_*.json` baselines.
+//! against their naive alternatives. Performance is measured end to end by
+//! the separate `e2ebench/` package, not here.
 //!
 //! All binaries take `--key value` overrides for scale parameters; the
 //! defaults are laptop-scale versions of the paper's workloads, chosen to
@@ -55,28 +54,4 @@ pub fn sampling_protein_workload(seed: u64, num_sequences: usize) -> ProteinWork
 /// Formats a duration in seconds with 3 decimals.
 pub fn secs(d: std::time::Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
-}
-
-/// Renders the process-wide metrics registry as a JSON fragment suitable
-/// for embedding as a value inside a larger hand-rolled document, indented
-/// by `indent` spaces (the first line is not indented — it follows a key).
-///
-/// Benches call [`noisemine_obs::enable`] up front and embed this under a
-/// `"metrics"` key so every `BENCH_*.json` carries the instrumentation
-/// counters (scans, bytes, stall counts, span histograms) alongside the
-/// wall-clock rows.
-pub fn metrics_json_fragment(indent: usize) -> String {
-    let doc = noisemine_obs::global().snapshot().to_json();
-    let pad = " ".repeat(indent);
-    let mut out = String::with_capacity(doc.len());
-    for (i, line) in doc.trim_end().lines().enumerate() {
-        if i > 0 {
-            out.push('\n');
-            if !line.is_empty() {
-                out.push_str(&pad);
-            }
-        }
-        out.push_str(line);
-    }
-    out
 }

@@ -117,8 +117,8 @@ pub fn cmd_gen(opts: &Opts) -> CliResult<()> {
     };
 
     text::write_sequences_file(out, &sequences, &alphabet).map_err(|e| e.to_string())?;
-    println!("wrote {} sequences to {out}", sequences.len());
-    if let Some(matrix_out) = opts.get("matrix-out") {
+    let matrix_out = opts.get("matrix-out");
+    if let Some(matrix_out) = matrix_out {
         let rendered = if m > 64 {
             matrix_io::to_sparse_string(&alphabet, &matrix)
         } else {
@@ -126,9 +126,14 @@ pub fn cmd_gen(opts: &Opts) -> CliResult<()> {
         }
         .map_err(|e| e.to_string())?;
         std::fs::write(matrix_out, rendered).map_err(|e| e.to_string())?;
-        println!("wrote compatibility matrix to {matrix_out}");
     }
-    Ok(())
+    write_stdout(|stdout| {
+        writeln!(stdout, "wrote {} sequences to {out}", sequences.len())?;
+        if let Some(matrix_out) = matrix_out {
+            writeln!(stdout, "wrote compatibility matrix to {matrix_out}")?;
+        }
+        Ok(())
+    })
 }
 
 /// `noisemine learn` — estimate a compatibility matrix from paired
@@ -163,12 +168,14 @@ pub fn cmd_learn(opts: &Opts) -> CliResult<()> {
     }
     .map_err(|e| e.to_string())?;
     std::fs::write(out, rendered).map_err(|e| e.to_string())?;
-    println!(
-        "learned a {m}x{m} compatibility matrix from {} paired sequences (lambda = {lambda}); wrote {out}",
-        truth.len(),
-        m = alphabet.len(),
-    );
-    Ok(())
+    write_stdout(|stdout| {
+        writeln!(
+            stdout,
+            "learned a {m}x{m} compatibility matrix from {} paired sequences (lambda = {lambda}); wrote {out}",
+            truth.len(),
+            m = alphabet.len(),
+        )
+    })
 }
 
 /// `noisemine stats` — database statistics (and per-symbol matches when a
@@ -243,19 +250,29 @@ pub fn cmd_match(opts: &Opts) -> CliResult<()> {
     let db = MemorySequences(sequences);
     let pattern =
         Pattern::parse(opts.required("pattern")?, &alphabet).map_err(|e| e.to_string())?;
-    println!(
-        "pattern {} (length {}, {} concrete symbols)",
-        pattern.display(&alphabet).map_err(|e| e.to_string())?,
-        pattern.len(),
-        pattern.non_eternal_count(),
-    );
-    println!("support: {:.6}", db_support(&pattern, &db));
-    if let Some(matrix_path) = opts.get("matrix") {
-        let (_, matrix) = load_matrix(matrix_path, &alphabet)?;
-        let matrix = maybe_normalize(matrix, opts)?;
-        println!("match:   {:.6}", db_match(&pattern, &db, &matrix));
-    }
-    Ok(())
+    let shown = pattern.display(&alphabet).map_err(|e| e.to_string())?;
+    let support = db_support(&pattern, &db);
+    let matched = match opts.get("matrix") {
+        Some(matrix_path) => {
+            let (_, matrix) = load_matrix(matrix_path, &alphabet)?;
+            let matrix = maybe_normalize(matrix, opts)?;
+            Some(db_match(&pattern, &db, &matrix))
+        }
+        None => None,
+    };
+    write_stdout(|out| {
+        writeln!(
+            out,
+            "pattern {shown} (length {}, {} concrete symbols)",
+            pattern.len(),
+            pattern.non_eternal_count(),
+        )?;
+        writeln!(out, "support: {support:.6}")?;
+        if let Some(matched) = matched {
+            writeln!(out, "match:   {matched:.6}")?;
+        }
+        Ok(())
+    })
 }
 
 /// `noisemine convert` — text ↔ binary sequence database conversion.
@@ -274,16 +291,18 @@ pub fn cmd_convert(opts: &Opts) -> CliResult<()> {
         };
         let sequences = text::read_sequences_file(input, &alphabet).map_err(|e| e.to_string())?;
         DiskDb::create_from(out, sequences.iter().map(Vec::as_slice)).map_err(|e| e.to_string())?;
-        println!(
-            "wrote {} sequences to binary database {out} (alphabet {how}: {} symbols; \
-             note: binary files store ids, keep the alphabet alongside)",
-            sequences.len(),
-            alphabet.len(),
-        );
+        write_stdout(|stdout| {
+            writeln!(
+                stdout,
+                "wrote {} sequences to binary database {out} (alphabet {how}: {} symbols; \
+                 note: binary files store ids, keep the alphabet alongside)",
+                sequences.len(),
+                alphabet.len(),
+            )
+        })
     } else {
-        return Err("convert currently writes binary .nmdb only; name the output *.nmdb".into());
+        Err("convert currently writes binary .nmdb only; name the output *.nmdb".into())
     }
-    Ok(())
 }
 
 /// Opens `--db` for `noisemine mine` with the alphabet and matrix that go

@@ -675,14 +675,49 @@ fn closed_stdout_is_not_an_error() {
     let db = tmp("pipe-db.txt");
     let matrix = tmp("pipe-m.txt");
     generate(&db, &matrix);
-    let stats = [
-        "stats",
-        "--db",
-        db.to_str().unwrap(),
-        "--matrix",
-        matrix.to_str().unwrap(),
+    let (db_s, matrix_s) = (db.to_str().unwrap(), matrix.to_str().unwrap());
+    let gen_db = tmp("pipe-gen-db.txt");
+    let gen_matrix = tmp("pipe-gen-m.txt");
+    let learned = tmp("pipe-learned-m.txt");
+    let bin = tmp("pipe.nmdb");
+    let (gen_db_s, gen_matrix_s) = (gen_db.to_str().unwrap(), gen_matrix.to_str().unwrap());
+    let gen = [
+        "gen",
+        "--out",
+        gen_db_s,
+        "--matrix-out",
+        gen_matrix_s,
+        "--sequences",
+        "10",
     ];
-    for args in [&["help"][..], &stats[..]] {
+    let stats = ["stats", "--db", db_s, "--matrix", matrix_s];
+    let matched = [
+        "match",
+        "--db",
+        db_s,
+        "--matrix",
+        matrix_s,
+        "--pattern",
+        "AMTKY",
+    ];
+    let learn = [
+        "learn",
+        "--truth",
+        db_s,
+        "--observed",
+        db_s,
+        "--out",
+        learned.to_str().unwrap(),
+    ];
+    let convert = ["convert", "--db", db_s, "--out", bin.to_str().unwrap()];
+    for args in [
+        &["help"][..],
+        &gen[..],
+        &stats[..],
+        &matched[..],
+        &learn[..],
+        &convert[..],
+    ] {
         // The reader goes away before the command writes, as with `| head`.
         let mut child = Command::new(env!("CARGO_BIN_EXE_noisemine"))
             .args(args)
@@ -693,6 +728,11 @@ fn closed_stdout_is_not_an_error() {
         drop(child.stdout.take());
         let out = child.wait_with_output().unwrap();
         assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+    }
+    // Every file is written even though nobody read the status lines.
+    for written in [&gen_db, &gen_matrix, &learned, &bin] {
+        assert!(written.exists(), "{} missing", written.display());
+        std::fs::remove_file(written).ok();
     }
     std::fs::remove_file(&db).ok();
     std::fs::remove_file(&matrix).ok();

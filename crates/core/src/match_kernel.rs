@@ -76,7 +76,7 @@ use crate::pattern::{Pattern, PatternElem};
 /// Which implementation evaluates multi-pattern match batches.
 ///
 /// All kernels produce the same values on every input (asserted by the
-/// property suites and the `match_kernel` bench): `Naive` and `Trie` are
+/// property suites): `Naive` and `Trie` are
 /// bit-identical by construction, and `Simd` preserves the same
 /// multiplication order per window, so its results agree within
 /// [`simd::SIMD_MAX_ULP`] (currently zero — see `simd` module docs). The

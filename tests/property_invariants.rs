@@ -17,11 +17,11 @@ mod common;
 use common::{random_matrix, random_pattern, random_sequence, random_sequences, run_cases};
 use noisemine::core::chernoff::restricted_spread;
 use noisemine::core::matching::{
-    db_match, db_support, sequence_match, symbol_db_match, MemorySequences,
+    db_match, db_support, sequence_match, symbol_db_match, MemorySequences, SequenceScan,
 };
-use noisemine::core::miner::{mine, try_phase1_threads, MinerConfig};
+use noisemine::core::miner::{mine, try_phase1_threads, MineOutcome, MinerConfig};
 use noisemine::core::{CompatibilityMatrix, Pattern, PatternSpace, Symbol};
-use noisemine::seqdb::MemoryDb;
+use noisemine::seqdb::{DiskDb, MemoryDb};
 use noisemine::stream::StreamState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -215,12 +215,20 @@ fn stream_ingest_sums_equal_batch_phase1_bitwise() {
 }
 
 /// The full miner — patterns, match estimates, and stats that derive from
-/// phase-1 output — is bit-identical at every thread count.
+/// phase-1 output — is bit-identical at every thread count, over the
+/// in-memory store and over the same database written as an NMSEQDB file.
 #[test]
 fn mine_output_is_bit_identical_across_thread_counts() {
+    let mut case = 0;
     run_cases(6, |rng| {
         let matrix = random_matrix(rng, M, 0.05);
         let db = MemorySequences(random_sequences(rng, M, 10, 150, 400));
+        let path = std::env::temp_dir().join(format!(
+            "noisemine-prop-threads-{}-{case}.db",
+            std::process::id()
+        ));
+        case += 1;
+        let disk = DiskDb::create_from(&path, db.0.iter().map(Vec::as_slice)).unwrap();
         let mut config = MinerConfig {
             min_match: 0.25,
             delta: 0.05,
@@ -231,23 +239,32 @@ fn mine_output_is_bit_identical_across_thread_counts() {
             threads: 1,
             ..MinerConfig::default()
         };
+        let key = |outcome: &MineOutcome| -> Vec<_> {
+            outcome
+                .frequent
+                .iter()
+                .map(|f| (f.pattern.clone(), f.match_estimate.to_bits()))
+                .collect()
+        };
         let serial = mine(&db, &matrix, &config).unwrap();
-        for threads in [2usize, 8] {
+        let inputs = [
+            ("memory", 2usize, &db as &dyn SequenceScan),
+            ("memory", 8, &db),
+            ("disk", 1, &disk),
+            ("disk", 2, &disk),
+            ("disk", 8, &disk),
+        ];
+        for (store, threads, input) in inputs {
             config.threads = threads;
-            let parallel = mine(&db, &matrix, &config).unwrap();
-            let s: Vec<_> = serial
-                .frequent
-                .iter()
-                .map(|f| (f.pattern.clone(), f.match_estimate.to_bits()))
-                .collect();
-            let p: Vec<_> = parallel
-                .frequent
-                .iter()
-                .map(|f| (f.pattern.clone(), f.match_estimate.to_bits()))
-                .collect();
-            assert_eq!(s, p, "mining output diverged at {threads} threads");
+            let parallel = mine(input, &matrix, &config).unwrap();
+            assert_eq!(
+                key(&serial),
+                key(&parallel),
+                "{store} mining output diverged at {threads} threads"
+            );
             assert_eq!(serial.border.elements(), parallel.border.elements());
         }
+        std::fs::remove_file(&path).ok();
     });
 }
 
